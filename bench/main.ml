@@ -494,21 +494,25 @@ let sweep_timings () =
     (try Sys.rmdir dir with Sys_error _ -> ());
     (name, j, secs, Printf.sprintf "configs=%d" v.Classify.configs, !metrics)
   in
-  let hunt_sweep name p ~runs j =
+  let hunt_sweep name entry ~runs j =
+    let entry =
+      match Patterns_protocols.Registry.find entry with
+      | Some e -> e
+      | None -> failwith ("registry lost " ^ entry)
+    in
     let metrics = ref Patterns_search.Metrics.zero in
     let r, secs =
       wall (fun () ->
-          Audit.hunt ~metrics ~jobs:j ~max_failures:2 ~max_runs:runs
-            ~property:Audit.Agreement ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3
-            ~seed:7 p)
+          Patterns_adversary.Hunt.hunt ~metrics ~jobs:j ~max_failures:2 ~max_runs:runs
+            ~mode:Patterns_adversary.Hunt.Random ~property:Audit.Agreement
+            ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7 entry)
     in
     let witness = match r with Ok _ -> "violation" | Error k -> Printf.sprintf "runs=%d" k in
     (name, j, secs, witness, !metrics)
   in
   (* incremental rows: the same query cold and through the reuse
      machinery — classify against a base database (wholesale fact
-     reuse at the same fault bound, semi-naive widening at bound + 1)
-     and the systematic hunt with and without shared failure-free
+     reuse at the same fault bound) and the systematic hunt with and without shared failure-free
      prefixes.  Always jobs=1, so the rows are never advisory: the
      honest lever on a small runner is work reduction (fewer states
      expanded for the same answer), not parallel speedup.  The base
@@ -563,8 +567,6 @@ let sweep_timings () =
         ~max_failures:2 ();
       classify_row "incremental: classify fig3-chain n=3 mf=2 reused" ~base:(seeded 2)
         ~max_failures:2 ();
-      classify_row "incremental: classify fig3-chain n=3 mf 1->2 widened"
-        ~base:(seeded 1) ~max_failures:2 ();
       hunt_row "incremental: hunt systematic fig3-chain n=3 IC replay" ~memo:false ~runs;
       hunt_row "incremental: hunt systematic fig3-chain n=3 IC memoized" ~memo:true ~runs;
       (* the widened adversary: the same systematic sweep through the
@@ -596,8 +598,7 @@ let sweep_timings () =
           classify_spill_sweep "classify: fig3-chain n=3, 1 crash, spill budget=2k"
             Patterns_protocols.Chain_proto.fig3 ~rule:Patterns_protocols.Decision_rule.Unanimity
             ~n:3 ~mem_budget:2_000 j;
-          hunt_sweep "hunt: 2pc agreement n=3"
-            Patterns_protocols.Two_phase_commit.default
+          hunt_sweep "hunt: 2pc agreement n=3" "2pc"
             ~runs:(if !quick then 300 else 3000)
             j;
         ]
@@ -637,7 +638,7 @@ let emit_json ~path =
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"patterns-bench/5\",\n");
+  Buffer.add_string b (Printf.sprintf "  \"schema\": \"patterns-bench/6\",\n");
   Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
   Buffer.add_string b
     (Printf.sprintf "  \"par_mode\": \"%s\",\n"
@@ -678,8 +679,8 @@ let emit_json ~path =
            must only pin what every rerun reproduces.  The /8
            incremental section rides along: prefix_hits and
            prefix_states_saved (shared failure-free prefixes in the
-           systematic hunt), delta_seeds and delta_reused_edges
-           (base-database reuse in classify) are deterministic on the
+           systematic hunt) and delta_reused_edges (base-database
+           reuse in classify) are deterministic on the
            full sweeps benched here; spill_fd_reopens is
            eviction-order-volatile and gated like the other spill
            counters.  The /9 fault section (drops_injected,
@@ -695,7 +696,7 @@ let emit_json ~path =
            \"shard_occupancy_total\": %d, \"frontier_peak_sum\": %d, \"spill_runs\": %d, \
            \"spill_evictions\": %d, \"spill_probes\": %d, \"spill_read_bytes\": %d, \
            \"spill_write_bytes\": %d, \"spill_fd_reopens\": %d, \"prefix_hits\": %d, \
-           \"prefix_states_saved\": %d, \"delta_seeds\": %d, \"delta_reused_edges\": %d, \
+           \"prefix_states_saved\": %d, \"delta_reused_edges\": %d, \
            \"drops_injected\": %d, \"omission_plans\": %d, \"mobile_faults\": %d }"
           (outcome_string metrics.outcome)
           metrics.states_expanded metrics.dedup_hits metrics.frontier_peak metrics.pruned
@@ -704,7 +705,7 @@ let emit_json ~path =
           metrics.shard_occupancy_total metrics.frontier_peak_sum metrics.spill_runs
           metrics.spill_evictions metrics.spill_probes metrics.spill_read_bytes
           metrics.spill_write_bytes metrics.spill_fd_reopens metrics.prefix_hits
-          metrics.prefix_states_saved metrics.delta_seeds metrics.delta_reused_edges
+          metrics.prefix_states_saved metrics.delta_reused_edges
           metrics.drops_injected metrics.omission_plans metrics.mobile_faults
       in
       Buffer.add_string b
@@ -874,7 +875,6 @@ let check_against ~baseline =
           expect "omission_plans" m.omission_plans;
           expect "mobile_faults" m.mobile_faults
         end;
-        expect "delta_seeds" m.delta_seeds;
         expect "delta_reused_edges" m.delta_reused_edges;
         (* intern_bindings is a hash-cons cache gauge, not a semantic
            counter: the intermediate edge/knowledge sets interned along

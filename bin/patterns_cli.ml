@@ -131,13 +131,14 @@ let base_db_arg =
   Arg.(value & opt (some string) None
        & info [ "base-db" ] ~docv:"FILE"
          ~doc:"Incremental base for $(b,check)/$(b,classify): reuse the per-vector \
-               $(b,classify_vec) facts an earlier run recorded into $(docv) — wholesale \
-               when $(b,--max-failures) matches, semi-naively widened (only the crash \
-               successors of the stored boundary are explored) when it grew by one — and \
-               record freshly completed vectors back on exit.  Verdicts are bit-identical \
-               to a from-scratch run; the metrics /8 section ($(b,delta_seeds), \
-               $(b,delta_reused_edges)) counts the reuse.  Ignored while $(b,--deadline) \
-               or $(b,--max-states) is set.  May name the same file as $(b,--db).")
+               $(b,classify_vec) facts an earlier run recorded into $(docv) wholesale \
+               when protocol, $(b,-n), $(b,--max-failures), $(b,--fifo-notices), \
+               $(b,--par-mode) and input vector all match and the fact fits the budget; \
+               search every other vector afresh and record it back on exit.  Verdicts \
+               are bit-identical to a from-scratch run, and a corrupt fact is refused \
+               and recomputed; the metrics counter $(b,delta_reused_edges) counts the \
+               reuse.  Ignored while $(b,--deadline) or $(b,--max-states) is set.  May \
+               name the same file as $(b,--db).")
 
 let deadline_arg =
   Arg.(value & opt (some float) None
@@ -756,7 +757,15 @@ let replay_cmd =
      1: not reproduced; 2: the certificate does not apply here."
   in
   let run path db_file metrics_json =
-    let cert = or_die (read_cert path) in
+    let cert =
+      match read_cert path with
+      | Ok cert -> cert
+      | Error msg ->
+        (* a certificate that does not parse is inapplicable, like
+           one naming an unknown protocol *)
+        prerr_endline ("error: " ^ msg);
+        exit 2
+    in
     let db = load_db db_file in
     Format.printf "%a@." Patterns_adversary.Cert.pp cert;
     let verdict, metrics =

@@ -53,15 +53,14 @@ val classify :
     affects the verdict or the fact key.
 
     [base] enables incremental re-classification
-    ({!Explore.Make.options}[.base]): per-vector ["classify_vec"]
-    facts from an earlier sweep are reused wholesale when
-    [max_failures] matches and semi-naively widened when it grew by
-    one, with verdicts bit-identical to a from-scratch sweep under the
-    layered driver's deterministic visit order (and under any driver
-    for protocols whose counts are visit-order-insensitive — see
-    {!Explore.Make.options}[.base]); fresh vectors store new facts
-    into it.  [base] may be the same database as [db].  Ignored while
-    [deadline] or [max_live] is set.
+    ({!Explore.Make.options}[.base]): a per-vector ["classify_vec"]
+    fact from an earlier sweep with the same [max_failures],
+    [fifo_notices] and [par_mode] is reused wholesale; every other
+    vector is searched afresh and stores a new fact.  Verdicts are
+    bit-identical to a from-scratch sweep under the same driver, and
+    a malformed or corrupt fact is refused and recomputed.  [base]
+    may be the same database as [db].  Ignored while [deadline] or
+    [max_live] is set.
 
     [par_mode] selects the parallel driver (default
     {!Patterns_search.Search.Async}); exhaustive sweeps give identical

@@ -142,10 +142,6 @@ module Make (P : Protocol.S) = struct
     cells : (int * string) option array;
     mutable errors : string list;
     mutable smap : state_info State_map.t;
-    mutable boundary : (E.config * Decision.t option array) list;
-        (* nodes with exactly [max_failures] failures, collected only
-           when a base database is in play — the frontier a later
-           [max_failures + 1] sweep seeds its delta region from *)
     mutable edges_gen : int;
         (* successor derivations performed (summed [List.length succs]
            over expansions) — an exact count, unlike the kernel's
@@ -158,7 +154,6 @@ module Make (P : Protocol.S) = struct
       cells = Array.make 7 None;
       errors = [];
       smap = State_map.empty;
-      boundary = [];
       edges_gen = 0;
     }
 
@@ -172,7 +167,6 @@ module Make (P : Protocol.S) = struct
     Array.iteri (fun i v -> a.cells.(i) <- min_violation a.cells.(i) v) b.cells;
     a.errors <- a.errors @ b.errors;
     a.smap <- State_map.union (fun _ x y -> Some (merge_info x y)) a.smap b.smap;
-    a.boundary <- List.rev_append b.boundary a.boundary;
     a.edges_gen <- a.edges_gen + b.edges_gen;
     a
 
@@ -358,7 +352,7 @@ module Make (P : Protocol.S) = struct
 
   module K = Patterns_search.Search.Make (Node)
 
-  let node_expand ~fifo_notices ~max_failures ~rule ~capture o
+  let node_expand ~fifo_notices ~max_failures ~rule o
       ((config, decided) as node : Node.state) =
     (* every violation observed while expanding this node is tagged
        with the node's fingerprint key — the canonical-witness order *)
@@ -366,9 +360,9 @@ module Make (P : Protocol.S) = struct
     observe_config ~rule o key config decided;
     let actions = E.applicable ~fifo_notices config in
     if actions = [] then observe_terminal o key config decided;
-    let nf = failures_in config in
-    if capture && nf = max_failures then o.boundary <- node :: o.boundary;
-    let fail_actions = if nf < max_failures then E.failure_actions config else [] in
+    let fail_actions =
+      if failures_in config < max_failures then E.failure_actions config else []
+    in
     let succs =
       List.filter_map
         (fun a ->
@@ -403,7 +397,7 @@ module Make (P : Protocol.S) = struct
      exactly.  The frontier, visited store and budget live in the
      search kernel; this function only hangs the paper's observations
      on the expansion closure. *)
-  let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n ~capture inputs =
+  let explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs =
     let root_config = E.init ~n ~inputs in
     let edges = Option.map edge_adapter options.edge_sink in
     let outcome, o, m =
@@ -413,7 +407,7 @@ module Make (P : Protocol.S) = struct
           merge = vobs_merge;
           expand =
             node_expand ~fifo_notices:options.fifo_notices
-              ~max_failures:options.max_failures ~rule ~capture;
+              ~max_failures:options.max_failures ~rule;
         }
       in
       let root = (root_config, Array.make n None) in
@@ -445,35 +439,36 @@ module Make (P : Protocol.S) = struct
       states = List.map snd (State_map.bindings o.smap);
     }
 
-  (* ----- per-vector base facts: the EDB for delta re-exploration -----
+  (* ----- per-vector base facts -----
 
      One fact per fully explored input vector, kind ["classify_vec"],
-     carrying everything a later sweep needs to either reuse the
-     vector wholesale (same [max_failures]) or semi-naively widen it
-     ([max_failures + 1]): the observation accumulator, the exact
-     derivation count, and the frozen boundary — the nodes with
-     exactly [max_failures] failures, whose crash successors are the
-     only new sources the widened space adds.  The key pins the
-     answer-relevant parameters (protocol, n, rule, max_failures,
-     fifo, vector) and deliberately excludes budgets, parallelism
-     knobs and deadlines: reuse re-checks the budget against the
-     stored size, and deadline-bounded runs never store or consume
-     facts. *)
+     carrying everything a later sweep needs to reuse the vector
+     wholesale: the observation accumulator and the exact derivation
+     count.  The key pins the answer-relevant parameters (protocol, n,
+     rule, max_failures, fifo, driver family, vector) and deliberately
+     excludes budgets, the worker count and deadlines: reuse re-checks
+     the budget against the stored size, and deadline-bounded runs
+     never store or consume facts.  The driver family is in the key
+     because the two drivers' visited counts can differ on one space
+     (explore.mli); it is the [mode=] field of the checkpoint header. *)
 
   let bits_of inputs =
     String.concat "" (List.map (fun b -> if b then "1" else "0") inputs)
 
-  let vec_fact_key ~rule ~n ~max_failures ~fifo_notices inputs =
-    Printf.sprintf "%s|%d|%s|mf=%d|fifo=%b|vec=%s" P.name n
+  let vec_fact_key ~rule ~n ~max_failures ~fifo_notices ~par_mode inputs =
+    Printf.sprintf "%s|%d|%s|mf=%d|fifo=%b|mode=%s|vec=%s" P.name n
       (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
-      max_failures fifo_notices (bits_of inputs)
+      max_failures fifo_notices
+      (Patterns_search.Search.par_mode_string par_mode)
+      (bits_of inputs)
 
-  (* binary payloads (state infos, frozen boundary) travel as hex of
-     [Marshal] — the db is line-oriented JSON.  Marshal bytes are
-     compared by nobody: facts are decoded before use, so the
-     insertion-order-dependent sharing in the byte string is
-     harmless. *)
-  let vec_fact_of ~configs ~boundary o =
+  (* the state infos travel as a sealed [Marshal] payload
+     ({!Hex.seal}) — the db is line-oriented JSON, and a corrupt
+     payload must be refused before it reaches the unmarshaller.
+     Marshal bytes are compared by nobody: facts are decoded before
+     use, so the insertion-order-dependent sharing in the byte string
+     is harmless. *)
+  let vec_fact_of ~configs o =
     let cells =
       List.filter_map
         (fun i ->
@@ -484,13 +479,6 @@ module Make (P : Protocol.S) = struct
         [ 0; 1; 2; 3; 4; 5; 6 ]
     in
     let infos = Array.of_list (List.map snd (State_map.bindings o.smap)) in
-    let frozen_boundary =
-      List.stable_sort
-        (fun a b -> Fingerprint.compare (Node.fingerprint a) (Node.fingerprint b))
-        boundary
-      |> List.map (fun (c, d) -> (E.freeze c, d))
-      |> Array.of_list
-    in
     Json.Obj
       [
         ("configs", Json.Int configs);
@@ -502,15 +490,10 @@ module Make (P : Protocol.S) = struct
             (List.map
                (fun e -> Json.String e)
                (Listx.dedup_sorted ~cmp:String.compare o.errors)) );
-        ("smap", Json.String (Hex.encode (Marshal.to_string infos [])));
-        ("boundary", Json.String (Hex.encode (Marshal.to_string frozen_boundary [])));
+        ("smap", Json.String (Hex.seal infos));
       ]
 
-  (* [with_boundary:false] skips decoding the frozen boundary — the
-     expensive half of a fact, and dead weight for wholesale reuse,
-     which answers from the observations alone.  Only the widening
-     rung pays for the thaw. *)
-  let vobs_of_fact ~with_boundary j =
+  let vobs_of_fact j =
     let exception Bad in
     let get k = match Json.member k j with Some v -> v | None -> raise Bad in
     let int k = match Json.to_int (get k) with Ok i -> i | Error _ -> raise Bad in
@@ -532,37 +515,23 @@ module Make (P : Protocol.S) = struct
       o.errors <-
         List.map (fun e -> match Json.to_str e with Ok s -> s | Error _ -> raise Bad)
           (lst "errors");
-      let infos : state_info array = Marshal.from_string (Hex.decode (str "smap")) 0 in
+      let infos : state_info array =
+        match Hex.unseal (str "smap") with Some a -> a | None -> raise Bad
+      in
       Array.iter (fun info -> o.smap <- State_map.add info.state info o.smap) infos;
-      if with_boundary then begin
-        let frozen : (E.frozen * Decision.t option array) array =
-          Marshal.from_string (Hex.decode (str "boundary")) 0
-        in
-        o.boundary <- Array.to_list (Array.map (fun (fz, d) -> (E.thaw fz, d)) frozen)
-      end;
       Some (configs, o)
     with Bad | Invalid_argument _ | Failure _ -> None
 
   (* One vector of the sweep, with the base database consulted when it
-     is sound to do so.  Three rungs, first applicable wins:
+     is sound to do so.  Two rungs, first applicable wins:
 
-     - {e exact}: a fact at this [max_failures] whose size fits the
-       per-vector budget — the stored observations are the answer, no
-       search at all ([delta_reused_edges] counts the derivations
-       skipped wholesale);
-     - {e widen}: a fact at [max_failures - 1] — thaw its boundary,
-       derive only the crash successors (the semi-naive delta seeds:
-       every configuration the widened space adds is reachable from
-       one of them, and from none of the old nodes, because failure
-       counts only grow along edges and are part of the behavioural
-       identity), and close just that region with {!K.run_delta}
-       under the leftover budget.  Exhaustion of the delta within
-       [budget - base] is equivalent to exhaustion of the full space
-       within [budget], so the stitched report is bit-identical to
-       from-scratch; any truncation falls through to a fresh run,
-       which then reproduces the from-scratch truncation exactly;
+     - {e reuse}: a fact under this key whose size fits the per-vector
+       budget — the stored observations are the answer, no search at
+       all ([delta_reused_edges] counts the derivations skipped
+       wholesale);
      - {e fresh}: the ordinary exhaustive run, storing a new fact when
-       it completed untruncated.
+       it completed untruncated.  A missing, malformed or over-budget
+       fact lands here, so a bad base costs time, never the answer.
 
      Base consultation is disabled under a wall-clock deadline or a
      live-state cap: both make completeness run-dependent, and the
@@ -573,102 +542,28 @@ module Make (P : Protocol.S) = struct
       | Some db when options.deadline = None && options.max_live = None -> Some db
       | _ -> None
     in
-    let capture = base <> None in
-    let key = vec_fact_key ~rule ~n ~fifo_notices:options.fifo_notices in
+    let key =
+      vec_fact_key ~rule ~n ~max_failures:options.max_failures
+        ~fifo_notices:options.fifo_notices ~par_mode:options.par_mode inputs
+    in
     let fresh () =
-      let o, truncated, m =
-        explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n ~capture inputs
-      in
+      let o, truncated, m = explore_one_vector ?deadline ~options ~pool ~budget ~rule ~n inputs in
       let configs = m.Patterns_search.Metrics.states_expanded in
       (match base with
       | Some db when (not truncated) && m.Patterns_search.Metrics.deadline_hits = 0 ->
-        Db.put_fact db ~kind:"classify_vec"
-          ~key:(key ~max_failures:options.max_failures inputs)
-          (vec_fact_of ~configs ~boundary:o.boundary o)
+        Db.put_fact db ~kind:"classify_vec" ~key (vec_fact_of ~configs o)
       | _ -> ());
       (report_of ~configs ~truncated o, m)
     in
-    let widen db configs0 o0 =
-      let base_edges = o0.edges_gen in
-      let seeds = ref [] in
-      List.iter
-        (fun ((config, decided) as node) ->
-          let nkey = Fingerprint.to_int (Node.fingerprint node) in
-          let succs =
-            List.filter_map
-              (fun a ->
-                match E.apply ~step:0 config a with
-                | Error e ->
-                  o0.errors <- e :: o0.errors;
-                  None
-                | Ok (c', events) ->
-                  Some (c', observe_events ~rule o0 nkey config events decided))
-              (E.failure_actions config)
-          in
-          o0.edges_gen <- o0.edges_gen + List.length succs;
-          (match options.edge_sink with
-          | Some sink ->
-            List.iteri
-              (fun i s ->
-                sink ~src:nkey ~event:("#" ^ string_of_int i)
-                  ~dst:(Fingerprint.to_int (Node.fingerprint s)))
-              succs
-          | None -> ());
-          seeds := List.rev_append succs !seeds)
-        (List.stable_sort
-           (fun a b -> Fingerprint.compare (Node.fingerprint a) (Node.fingerprint b))
-           o0.boundary);
-      let expand =
-        {
-          K.empty = vobs_empty;
-          merge = vobs_merge;
-          expand =
-            node_expand ~fifo_notices:options.fifo_notices
-              ~max_failures:options.max_failures ~rule ~capture:true;
-        }
+    let fact = Option.bind base (fun db -> Db.get_fact db ~kind:"classify_vec" ~key) in
+    match Option.bind fact vobs_of_fact with
+    | Some (configs, o) when configs <= budget ->
+      let m =
+        Patterns_search.Metrics.with_incremental ~delta_reused_edges:o.edges_gen
+          Patterns_search.Metrics.zero
       in
-      let edges = Option.map edge_adapter options.edge_sink in
-      let outcome, od, m =
-        K.run_delta ~budget:(budget - configs0) ?spill:options.spill ?edges ~expand
-          ~seeds:(List.rev !seeds) ()
-      in
-      match outcome with
-      | Patterns_search.Search.Exhausted ->
-        let delta_boundary = od.boundary in
-        let o = vobs_merge o0 od in
-        let configs = configs0 + m.Patterns_search.Metrics.states_expanded in
-        let m = Patterns_search.Metrics.with_incremental ~delta_reused_edges:base_edges m in
-        Db.put_fact db ~kind:"classify_vec"
-          ~key:(key ~max_failures:options.max_failures inputs)
-          (vec_fact_of ~configs ~boundary:delta_boundary o);
-        Some (report_of ~configs ~truncated:false o, m)
-      | _ -> None
-    in
-    match base with
-    | None -> fresh ()
-    | Some db -> (
-      let lookup ~with_boundary mf =
-        Option.bind
-          (Db.get_fact db ~kind:"classify_vec" ~key:(key ~max_failures:mf inputs))
-          (vobs_of_fact ~with_boundary)
-      in
-      match lookup ~with_boundary:false options.max_failures with
-      | Some (configs, o) when configs <= budget ->
-        let m =
-          Patterns_search.Metrics.with_incremental ~delta_reused_edges:o.edges_gen
-            Patterns_search.Metrics.zero
-        in
-        (report_of ~configs ~truncated:false o, m)
-      | _ -> (
-        let prior =
-          if options.max_failures > 0 then
-            lookup ~with_boundary:true (options.max_failures - 1)
-          else None
-        in
-        match prior with
-        | Some (configs0, o0) when configs0 <= budget -> (
-          match widen db configs0 o0 with Some r -> r | None -> fresh ())
-        | _ -> fresh ()))
+      (report_of ~configs ~truncated:false o, m)
+    | _ -> fresh ()
 
   (* ----- deterministic merge of per-vector reports ----- *)
 

@@ -88,29 +88,24 @@ module Make (P : Protocol.S) : sig
     base : Patterns_db.Db.t option;
         (** incremental base: an execution database whose
             ["classify_vec"] facts persist each fully explored input
-            vector (observations, derivation counts, and the frozen
-            max-failure boundary).  With a base, every vector first
-            tries wholesale reuse (a fact at this [max_failures] that
-            fits the per-vector budget), then semi-naive widening (a
-            fact at [max_failures - 1]: only the crash successors of
-            its boundary are derived and closed with
-            {!Patterns_search.Search.Make.run_delta}), and only then
-            falls back to a fresh search — which stores a new fact on
-            untruncated completion.  Reused and widened answers are
-            bit-identical to from-scratch under the layer-synchronous
-            driver's visit order (the delta closure is a FIFO sweep,
-            which reproduces it); on protocols whose behavioural
-            spaces have no convergence points between pattern-distinct
-            paths — every protocol whose counts already agree between
-            the two parallel drivers — that is bit-identity to
-            from-scratch under any driver.  The metrics additionally
-            carry [delta_seeds] and [delta_reused_edges].  Ignored
-            (with no facts stored) while [deadline] or [max_live] is
-            set — both make completeness run-dependent.  [edge_sink]
-            composes, with two caveats: wholesale-reused vectors emit
-            no edges (like checkpoint-replayed ones), and widened
-            vectors emit delta edges whose successor ordinals can
-            differ from a from-scratch recording. *)
+            vector (observations and derivation count).  With a base,
+            every vector first tries wholesale reuse — a fact under
+            the same protocol, [n], rule, [max_failures],
+            [fifo_notices], driver family ([par_mode]) and vector that
+            fits the per-vector budget — and otherwise runs a fresh
+            search, which stores a new fact on untruncated
+            completion.  A missing, malformed or corrupt fact (sealed
+            payloads are checksummed, {!Patterns_stdx.Hex.unseal})
+            takes the fresh path, so a base never changes an answer:
+            a reused vector is bit-identical to the same driver's
+            from-scratch search.  The driver family is part of the
+            key because the two drivers' visited counts can differ on
+            spaces with convergence points between pattern-distinct
+            paths.  Reused vectors report [delta_reused_edges] and no
+            search counters.  Ignored (with no facts stored) while
+            [deadline] or [max_live] is set — both make completeness
+            run-dependent.  [edge_sink] composes, but reused vectors
+            emit no edges (like checkpoint-replayed ones). *)
   }
 
   val default_options : n:int -> options

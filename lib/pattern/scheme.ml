@@ -97,9 +97,9 @@ module Make (P : Protocol.S) = struct
 
   (* ----- per-vector base facts, kind ["scheme_vec"] -----
 
-     The failure-free pattern enumeration has no widening dimension —
-     no failures are injected — so the base database is a pure
-     memo: a fact stores the pattern set, the stats and the exact
+     The failure-free pattern enumeration injects no failures, so the
+     base database is a pure memo: a fact stores the pattern set
+     (sealed, {!Patterns_stdx.Hex.seal}), the stats and the exact
      derivation count of one fully enumerated vector, and a later run
      with the same (protocol, n, vector) and a budget at least as
      large reuses it wholesale.  Deadline- or live-limited runs
@@ -116,10 +116,7 @@ module Make (P : Protocol.S) = struct
         ("configs", Json.Int configs);
         ("terminal", Json.Int terminal);
         ("edges_gen", Json.Int edges);
-        ( "pats",
-          Json.String
-            (Patterns_stdx.Hex.encode
-               (Marshal.to_string (Array.of_list (Pattern.Set.elements pats)) [])) );
+        ("pats", Json.String (Patterns_stdx.Hex.seal (Array.of_list (Pattern.Set.elements pats))));
       ]
 
   let scheme_vec_of_fact j =
@@ -130,7 +127,7 @@ module Make (P : Protocol.S) = struct
     let str k = match Json.to_str (get k) with Ok s -> s | Error _ -> raise Bad in
     try
       let pats : Pattern.t array =
-        Marshal.from_string (Patterns_stdx.Hex.decode (str "pats")) 0
+        match Patterns_stdx.Hex.unseal (str "pats") with Some a -> a | None -> raise Bad
       in
       Some
         ( int "configs",

@@ -65,7 +65,6 @@ type t = {
   spill_fd_reopens : int;
   prefix_hits : int;
   prefix_states_saved : int;
-  delta_seeds : int;
   delta_reused_edges : int;
   drops_injected : int;
   omission_plans : int;
@@ -113,7 +112,6 @@ let zero =
     spill_fd_reopens = 0;
     prefix_hits = 0;
     prefix_states_saved = 0;
-    delta_seeds = 0;
     delta_reused_edges = 0;
     drops_injected = 0;
     omission_plans = 0;
@@ -215,18 +213,16 @@ let with_spill ~runs ~evictions ~probes ~read_bytes ~write_bytes ~fd_reopens m =
   }
 
 (* Retag a metrics record with the incremental-derivation counters.
-   All four are deterministic: prefix hits/saved-steps are functions of
+   All three are deterministic: prefix hits/saved-steps are functions of
    the evaluated plan-index set (each plan either shares a failure-free
    prefix or does not, independent of which worker materialized the
-   memo), and the delta counters are functions of the base facts and
-   the change description, not of scheduling. *)
-let with_incremental ?(prefix_hits = 0) ?(prefix_states_saved = 0) ?(delta_seeds = 0)
-    ?(delta_reused_edges = 0) m =
+   memo), and the reused-edge count is a function of the base facts,
+   not of scheduling. *)
+let with_incremental ?(prefix_hits = 0) ?(prefix_states_saved = 0) ?(delta_reused_edges = 0) m =
   {
     m with
     prefix_hits = m.prefix_hits + prefix_hits;
     prefix_states_saved = m.prefix_states_saved + prefix_states_saved;
-    delta_seeds = m.delta_seeds + delta_seeds;
     delta_reused_edges = m.delta_reused_edges + delta_reused_edges;
   }
 
@@ -295,7 +291,6 @@ let merge a b =
     spill_fd_reopens = a.spill_fd_reopens + b.spill_fd_reopens;
     prefix_hits = a.prefix_hits + b.prefix_hits;
     prefix_states_saved = a.prefix_states_saved + b.prefix_states_saved;
-    delta_seeds = a.delta_seeds + b.delta_seeds;
     delta_reused_edges = a.delta_reused_edges + b.delta_reused_edges;
     drops_injected = a.drops_injected + b.drops_injected;
     omission_plans = a.omission_plans + b.omission_plans;
@@ -323,15 +318,17 @@ let merge a b =
    schema /8 appends "spill_fd_reopens" (descriptor-cache misses for
    runs already opened once; same gating as the other spill counters)
    after "spill_write_bytes", then the incremental-derivation counters
-   "prefix_hits", "prefix_states_saved", "delta_seeds",
-   "delta_reused_edges" (deterministic; all 0 unless a memoized
-   systematic hunt or a --base-db widening ran);
+   "prefix_hits", "prefix_states_saved", a widening-seed counter
+   (removed in /10) and "delta_reused_edges" (deterministic; all 0
+   unless a memoized systematic hunt or a --base-db reuse ran);
    schema /9 appends the fault-injection counters "drops_injected",
    "omission_plans", "mobile_faults" (deterministic and jobs-invariant
    on full sweeps, overshooting with [jobs] on goal-found hunts like
    "prefix_hits"; all 0 unless a hunt widened the adversary past
    fail-stop) after "delta_reused_edges";
-   every earlier field is unchanged in name, meaning and order.
+   schema /10 removes the widening-seed counter together with the
+   semi-naive widening rung that fed it;
+   every other field is unchanged in name, meaning and order.
    "lock_contention", "expand_seconds", "parallel_efficiency" and the
    whole /5 section are the nondeterministic top-level fields
    (normalized away by the cram test, never compared by the bench
@@ -349,7 +346,7 @@ let parallel_efficiency m =
 let to_json ?(shards = true) m =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"patterns-search-metrics/9\",\n";
+  Buffer.add_string b "  \"schema\": \"patterns-search-metrics/10\",\n";
   Buffer.add_string b (Printf.sprintf "  \"outcome\": \"%s\",\n" (outcome_string m.outcome));
   Buffer.add_string b (Printf.sprintf "  \"states_expanded\": %d,\n" m.states_expanded);
   Buffer.add_string b (Printf.sprintf "  \"dedup_hits\": %d,\n" m.dedup_hits);
@@ -395,7 +392,6 @@ let to_json ?(shards = true) m =
   Buffer.add_string b (Printf.sprintf "  \"prefix_hits\": %d,\n" m.prefix_hits);
   Buffer.add_string b
     (Printf.sprintf "  \"prefix_states_saved\": %d,\n" m.prefix_states_saved);
-  Buffer.add_string b (Printf.sprintf "  \"delta_seeds\": %d,\n" m.delta_seeds);
   Buffer.add_string b (Printf.sprintf "  \"delta_reused_edges\": %d,\n" m.delta_reused_edges);
   Buffer.add_string b (Printf.sprintf "  \"drops_injected\": %d,\n" m.drops_injected);
   Buffer.add_string b (Printf.sprintf "  \"omission_plans\": %d,\n" m.omission_plans);

@@ -133,9 +133,6 @@ type t = {
   prefix_states_saved : int;
       (** engine steps skipped by prefix resumption, summed over
           prefix hits (/8 section) *)
-  delta_seeds : int;
-      (** frontier states seeded into {!Search.Make.run_delta} from a
-          base exploration's boundary (/8 section) *)
   delta_reused_edges : int;
       (** successor derivations answered wholesale from base facts
           instead of being re-derived (/8 section) *)
@@ -224,15 +221,14 @@ val with_spill :
 val with_incremental :
   ?prefix_hits:int ->
   ?prefix_states_saved:int ->
-  ?delta_seeds:int ->
   ?delta_reused_edges:int ->
   t ->
   t
 (** Add to the incremental-derivation counters (the /8 section;
     omitted arguments default to 0, so existing values are kept).
-    All four are deterministic: prefix hits and saved steps depend
-    only on which plan indices were evaluated, and the delta counters
-    only on the base facts and the change description. *)
+    All three are deterministic: prefix hits and saved steps depend
+    only on which plan indices were evaluated, and the reused-edge
+    count only on the base facts. *)
 
 val with_faults :
   ?drops_injected:int -> ?omission_plans:int -> ?mobile_faults:int -> t -> t
@@ -254,8 +250,8 @@ val merge : t -> t -> t
     the sharding driver. *)
 
 val to_json : ?shards:bool -> t -> string
-(** Schema ["patterns-search-metrics/9"]: every /1 … /8 key is
-    unchanged in name, meaning and order; /4 appended the
+(** Schema ["patterns-search-metrics/10"]: every surviving /1 … /9
+    key is unchanged in name, meaning and order; /4 appended the
     graceful-degradation counters ["deadline_hits"] and
     ["live_limit_hits"] after ["frontier_peak_sum"]; /5 appended the
     asynchronous driver's volatile section — ["steals"],
@@ -269,11 +265,13 @@ val to_json : ?shards:bool -> t -> string
     after ["db_cache_misses"] (all 0 unless a [--spill-dir] is given);
     /8 appends ["spill_fd_reopens"] after ["spill_write_bytes"] and
     the deterministic incremental-derivation counters —
-    ["prefix_hits"], ["prefix_states_saved"], ["delta_seeds"],
-    ["delta_reused_edges"]; /9 appends the fault-injection counters —
+    ["prefix_hits"], ["prefix_states_saved"], a widening-seed counter
+    and ["delta_reused_edges"]; /9 appends the fault-injection
+    counters —
     ["drops_injected"], ["omission_plans"], ["mobile_faults"] — after
     ["delta_reused_edges"] (all 0 unless a hunt widened the adversary
-    past fail-stop).
+    past fail-stop); /10 removes the widening-seed counter with the
+    semi-naive widening rung that fed it.
     Key order is stable and pinned by the cram test; [?shards:false]
     omits the per-shard array (whose [seconds] are
     nondeterministic). *)

@@ -127,7 +127,7 @@ module type Problem = sig
 end
 
 module Make (P : Problem) = struct
-  type strategy = Bfs | Dfs | Priority of (P.state -> P.state -> int)
+  type strategy = Bfs | Dfs
 
   (* Observation interface for the layer-synchronous parallel driver.
      Each expansion task works against a fresh accumulator from
@@ -243,15 +243,6 @@ module Make (P : Problem) = struct
         let q = Queue.create () in
         ( (fun succs -> List.iter (fun s -> Queue.add s q) succs),
           fun () -> Queue.take_opt q )
-      | Priority cmp ->
-        let pq = ref (Pqueue.empty ~cmp) in
-        ( (fun succs -> List.iter (fun s -> pq := Pqueue.push !pq s) succs),
-          fun () ->
-            match Pqueue.pop !pq with
-            | None -> None
-            | Some (s, rest) ->
-              pq := rest;
-              Some s )
     in
     let push_batch succs =
       push_batch succs;
@@ -605,126 +596,6 @@ module Make (P : Problem) = struct
            ~expand_seconds:!expand_seconds
     in
     (outcome, !obs, visited.lv_finish (with_degradation outcome m))
-
-  (* ----- semi-naive delta re-exploration ----- *)
-
-  (* Multi-seed serial BFS over the same observation interface as the
-     parallel drivers — the incremental layer's workhorse.  A change
-     to a finished exploration (a wider failure budget, new inputs)
-     exposes a {e delta frontier}: boundary states whose successor
-     sets the change enlarges.  Re-deriving from those seeds alone
-     visits exactly the affected region, which semi-naive evaluation
-     says is the only part that can hold new facts.
-
-     Seeds are sorted by canonical fingerprint before exploration, so
-     the visit order — and with it every deterministic counter — is a
-     function of the seed {e set}, never of the caller's enumeration
-     order; duplicate seeds dedup against the shared visited store
-     like any other repeated state.  [known] marks states the base
-     exploration already covers: they are treated exactly like
-     visited-store hits (counted as dedup, never expanded), which
-     stops the delta closure at the base's edge without materializing
-     the base's visited set.
-
-     The driver is serial on purpose: delta regions are small by
-     construction (that is the point of seeding), so the parallel
-     machinery would add nondeterminism surface for no win — and the
-     answers stay jobs-invariant trivially. *)
-  let run_delta ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
-      ?known ~expand:obs_iface ~seeds () =
-    let visited = serial_store spill in
-    let obs = ref (obs_iface.empty ()) in
-    let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
-    let size = ref 0 and peak = ref 0 in
-    let q = Queue.create () in
-    let push_batch succs =
-      List.iter (fun s -> Queue.add s q) succs;
-      size := !size + List.length succs;
-      if !size > !peak then peak := !size
-    in
-    let goal = match is_goal with Some g -> g | None -> fun _ -> false in
-    let covered = match known with Some k -> k | None -> fun _ -> false in
-    let keep s =
-      if visited.sv_mem s || covered s then begin
-        incr dedup;
-        false
-      end
-      else
-        match prune with
-        | Some p when p s ->
-          incr pruned;
-          false
-        | _ -> true
-    in
-    let t0 = Unix.gettimeofday () in
-    let over_deadline () =
-      match deadline with
-      | None -> None
-      | Some d ->
-        let elapsed = Unix.gettimeofday () -. t0 in
-        if elapsed >= d then Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
-        else None
-    in
-    let over_live live =
-      match max_live with
-      | Some limit when live > limit -> Some (Truncated (Live_limit_exceeded { limit; live }))
-      | _ -> None
-    in
-    let rec loop () =
-      match Queue.take_opt q with
-      | None -> Exhausted
-      | Some s ->
-        decr size;
-        if visited.sv_mem s || covered s then begin
-          incr dedup;
-          loop ()
-        end
-        else if !expanded >= budget then
-          Truncated (Budget_exhausted { budget; consumed = !expanded })
-        else begin
-          match over_live (visited.sv_live () + !size + 1) with
-          | Some t -> t
-          | None -> (
-            match over_deadline () with
-            | Some t -> t
-            | None ->
-              visited.sv_add s;
-              incr expanded;
-              if goal s then Goal_found s
-              else begin
-                let succs = obs_iface.expand !obs s in
-                emit_edges edges s succs;
-                push_batch (List.filter keep succs);
-                loop ()
-              end)
-        end
-    in
-    let seeds =
-      List.stable_sort
-        (fun a b -> Fingerprint.compare (P.fingerprint a) (P.fingerprint b))
-        seeds
-    in
-    push_batch seeds;
-    let outcome = loop () in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let shard =
-      {
-        Metrics.root = 0;
-        states_expanded = !expanded;
-        dedup_hits = !dedup;
-        frontier_peak = !peak;
-        pruned = !pruned;
-        fingerprint_probes = visited.sv_probes ();
-        collision_fallbacks = visited.sv_collision_fallbacks ();
-        intern_bindings = 0;
-        seconds;
-      }
-    in
-    let m =
-      Metrics.of_shard (outcome_kind outcome) shard
-      |> Metrics.with_incremental ~delta_seeds:(List.length seeds)
-    in
-    (outcome, !obs, visited.sv_finish (with_degradation outcome m))
 
   (* ----- asynchronous work-stealing driver ----- *)
 

@@ -150,8 +150,6 @@ module Make (P : Problem) : sig
   type strategy =
     | Bfs  (** FIFO frontier *)
     | Dfs  (** LIFO frontier; preorder in [expand]'s order (default) *)
-    | Priority of (P.state -> P.state -> int)
-        (** least state first, via {!Patterns_stdx.Pqueue} *)
 
   val run :
     ?strategy:strategy ->
@@ -245,41 +243,6 @@ module Make (P : Problem) : sig
       layer is charged, so overshoot past either guard is bounded by
       one layer; [max_live] truncation is deterministic and
       jobs-invariant. *)
-
-  val run_delta :
-    ?budget:int ->
-    ?deadline:float ->
-    ?max_live:int ->
-    ?spill:spill ->
-    ?is_goal:(P.state -> bool) ->
-    ?prune:(P.state -> bool) ->
-    ?edges:(src:P.state -> event:int -> dst:P.state -> unit) ->
-    ?known:(P.state -> bool) ->
-    expand:'obs par_expand ->
-    seeds:P.state list ->
-    unit ->
-    P.state outcome * 'obs * Metrics.t
-  (** Semi-naive delta re-exploration: a multi-seed serial BFS over
-      the {!par_expand} observation interface.  Where {!run} derives a
-      whole space from one root, [run_delta] re-derives only the
-      region a {e change} to a finished base exploration can affect —
-      the caller seeds it with the boundary states whose successor
-      sets the change enlarges (e.g. the freshly-enabled crash
-      successors when [--max-failures] is raised), and the forward
-      closure of those seeds is exactly the affected region.
-
-      Seeds are sorted by canonical fingerprint before exploration,
-      so the visitation order and every deterministic counter are a
-      function of the seed set, not of the caller's enumeration
-      order; duplicate seeds dedup against the shared visited store.
-      [known] marks states the base already covers: they are treated
-      exactly like visited-store hits (counted in [dedup_hits], never
-      expanded), which stops the delta closure at the base's edge
-      without materializing the base's visited set.  Budget, guard
-      and counter semantics match {!run} with [Bfs]; the metrics
-      carry [delta_seeds] (the /8 section).  The driver is serial by
-      design — delta regions are small by construction, so its
-      answers are jobs-invariant trivially. *)
 
   val run_par_async :
     ?pool:Patterns_stdx.Domain_pool.t ->

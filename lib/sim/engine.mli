@@ -270,23 +270,6 @@ module Make (P : Protocol.S) : sig
       [run ~failures ~faults]; the returned integer is the number of
       engine steps answered from the memo instead of re-executed. *)
 
-  (** {1 Frozen configurations} *)
-
-  type frozen
-  (** The context-free part of a configuration: marshallable (no
-      mutex, no intern tables, no cached fingerprints).  The vehicle
-      for persisting a base exploration's boundary configurations as
-      facts. *)
-
-  val freeze : config -> frozen
-
-  val thaw : frozen -> config
-  (** Rebuild a live configuration under a fresh untracked context.
-      Fingerprints and comparisons are canonical, so a thawed
-      configuration dedups against freshly explored ones exactly like
-      the original; the first fingerprint probe pays a full fold
-      (memoized per configuration), as under {!init_untracked}. *)
-
   (** {1 Scripted replays}
 
       Indistinguishability scenarios (Theorems 8 and 13) and

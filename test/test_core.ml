@@ -220,7 +220,7 @@ let test_audit_ic_protocols_keep_agreement () =
 
 let test_hunt_finds_2pc_tc_violation () =
   match
-    Audit.hunt ~max_failures:2 ~max_runs:5_000 ~property:Audit.TC
+    Random_hunt.run ~max_failures:2 ~max_runs:5_000 ~property:Audit.TC
       ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:4 ~seed:1984
       Patterns_protocols.Two_phase_commit.default
   with
@@ -231,7 +231,7 @@ let test_hunt_finds_2pc_tc_violation () =
 
 let test_hunt_respects_tc_protocol () =
   match
-    Audit.hunt ~max_failures:1 ~max_runs:300 ~property:Audit.TC
+    Random_hunt.run ~max_failures:1 ~max_runs:300 ~property:Audit.TC
       ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7
       (Patterns_protocols.Tree_proto.three_phase_commit 3)
   with

@@ -1,11 +1,12 @@
 (* The incremental layer's single contract: answers computed through a
-   base database — wholesale per-vector reuse, semi-naive widening of
-   [max_failures], memoized failure-free prefixes in the systematic
-   hunt — are bit-identical to the from-scratch answers, across the
-   whole protocol registry, every jobs value and both parallel
-   drivers.  These tests pin that contract, plus the determinism of
-   the /8 counters and the inertness of [memo] on the random
-   adversary's PRNG stream. *)
+   base database — wholesale per-vector reuse, with a fresh search for
+   every vector the base cannot answer — and through memoized
+   failure-free prefixes in the systematic hunt are bit-identical to
+   the from-scratch answers, across the whole protocol registry, every
+   jobs value and both parallel drivers.  These tests pin that
+   contract, plus the determinism of the /8 counters, the inertness
+   of [memo] on the random adversary's PRNG stream, and the refusal
+   of corrupt facts. *)
 
 open Patterns_stdx
 open Patterns_core
@@ -34,26 +35,20 @@ let entry_exn name =
 let check_verdict name (a : Classify.verdict) (b : Classify.verdict) =
   Alcotest.(check bool) name true (a = b)
 
-(* ----- registry-wide widening oracle -----
+(* ----- registry-wide reuse oracle -----
 
-   For every protocol: classify at max_failures 0 storing per-vector
-   facts into a fresh base, then at max_failures 1 through the same
-   base (semi-naive widening wherever the 0-failure vector completed
-   untruncated, fresh fallback elsewhere), and compare both verdicts
-   against from-scratch runs.  The budget cap keeps the big fixed-n
-   protocols bounded; truncated vectors exercise the fallback path of
-   the same oracle.
+   For every protocol, three routes to the max_failures 1 verdict
+   against the from-scratch one: through an empty base (every vector
+   fresh, facts stored), the same query again (every untruncated
+   vector answered wholesale, no search), and through a base holding
+   only max_failures 0 facts (no fact matches, so every vector takes
+   the fresh fallback).  The budget cap keeps the big fixed-n
+   protocols bounded; their truncated vectors store no facts and are
+   searched afresh on every route.  The layer-synchronous driver pins
+   the truncation points (the async driver's are schedule-dependent
+   above one worker) and truncates these capped sweeps faster. *)
 
-   The comparisons pin [~par_mode:Layers]: on protocols whose
-   behavioural state space has convergence points between
-   pattern-distinct paths (coop-2pc at one crash, for instance), the
-   count statistics depend on which path's configuration becomes the
-   behavioural-dedup representative — a visit-order property the two
-   parallel drivers already disagreed on before the incremental layer
-   existed.  The delta driver's FIFO closure reproduces the layered
-   order, which is the deterministic, jobs-invariant one. *)
-
-let test_registry_widening () =
+let test_registry_reuse () =
   List.iter
     (fun entry ->
       let (module P : Patterns_sim.Protocol.S) =
@@ -65,27 +60,27 @@ let test_registry_widening () =
         else min entry.Patterns_protocols.Registry.default_n 3
       in
       let rule = rule_of_registry entry in
-      let max_configs = 20_000 in
-      let par_mode = Patterns_search.Search.Layers in
-      let scratch mf =
-        Classify.classify ~max_failures:mf ~max_configs ~par_mode ~rule ~n
+      let classify ?metrics ?base mf =
+        Classify.classify ?metrics ?base ~max_failures:mf ~max_configs:20_000
+          ~par_mode:Patterns_search.Search.Layers ~rule ~n
           entry.Patterns_protocols.Registry.protocol
       in
-      let s0 = scratch 0 and s1 = scratch 1 in
+      let s1 = classify 1 in
       let base = Db.create () in
-      let incr mf =
-        Classify.classify ~base ~max_failures:mf ~max_configs ~par_mode ~rule ~n
-          entry.Patterns_protocols.Registry.protocol
-      in
-      check_verdict (P.name ^ " mf=0 through base") s0 (incr 0);
-      check_verdict (P.name ^ " mf=1 widened") s1 (incr 1);
-      (* a second query at mf=1 reuses the widened facts wholesale *)
+      check_verdict (P.name ^ " mf=1 through an empty base") s1 (classify ~base 1);
       let metrics = ref Patterns_search.Metrics.zero in
-      let v1' =
-        Classify.classify ~metrics ~base ~max_failures:1 ~max_configs ~par_mode ~rule ~n
-          entry.Patterns_protocols.Registry.protocol
-      in
-      check_verdict (P.name ^ " mf=1 wholesale") s1 v1')
+      check_verdict (P.name ^ " mf=1 repeated") s1 (classify ~metrics ~base 1);
+      if not s1.Classify.truncated then begin
+        check Alcotest.int (P.name ^ " repeated run searches nothing") 0
+          !metrics.Patterns_search.Metrics.states_expanded;
+        Alcotest.(check bool)
+          (P.name ^ " repeated run reuses edges")
+          true
+          (!metrics.Patterns_search.Metrics.delta_reused_edges > 0)
+      end;
+      let base0 = Db.create () in
+      ignore (classify ~base:base0 0 : Classify.verdict);
+      check_verdict (P.name ^ " mf=1 through an mf=0 base") s1 (classify ~base:base0 1))
     Patterns_protocols.Registry.all
 
 (* ----- added input vectors -----
@@ -109,11 +104,11 @@ let test_added_inputs () =
       entry.Patterns_protocols.Registry.protocol
   in
   let metrics = ref Patterns_search.Metrics.zero in
-  let widened =
+  let grown =
     Classify.classify ~metrics ~base ~max_failures:1 ~inputs_choices:all ~rule ~n
       entry.Patterns_protocols.Registry.protocol
   in
-  check_verdict "half-then-all ≡ from-scratch" scratch widened;
+  check_verdict "half-then-all ≡ from-scratch" scratch grown;
   Alcotest.(check bool)
     "old vectors were reused" true
     (!metrics.Patterns_search.Metrics.delta_reused_edges > 0)
@@ -143,15 +138,17 @@ let test_budget_gate () =
   Alcotest.(check bool) "small budget truncates" true scratch.Classify.truncated;
   check_verdict "oversized facts are not reused" scratch through_base
 
-(* ----- jobs and par-mode invariance of the widened path ----- *)
+(* ----- jobs and par-mode invariance of reuse -----
+
+   Under every jobs value and driver, a base recorded at one failure
+   answers a repeated query wholesale and a two-failure query through
+   the fresh fallback, both equal to that driver's from-scratch
+   verdict, with jobs-invariant reuse counters. *)
 
 let test_matrix_invariance () =
   let entry = entry_exn "fig3-chain" in
   let rule = rule_of_registry entry in
   let n = 3 in
-  let scratch =
-    Classify.classify ~max_failures:2 ~rule ~n entry.Patterns_protocols.Registry.protocol
-  in
   let combos =
     [
       (1, Patterns_search.Search.Async);
@@ -163,33 +160,100 @@ let test_matrix_invariance () =
   let counters =
     List.map
       (fun (jobs, par_mode) ->
+        let classify ?metrics ?base mf =
+          Classify.classify ?metrics ?base ~max_failures:mf ~jobs ~par_mode ~rule ~n
+            entry.Patterns_protocols.Registry.protocol
+        in
+        let label what =
+          Printf.sprintf "%s ≡ scratch (jobs=%d mode=%s)" what jobs
+            (Patterns_search.Search.par_mode_string par_mode)
+        in
         let base = Db.create () in
-        let _seed : Classify.verdict =
-          Classify.classify ~base ~max_failures:1 ~jobs ~par_mode ~rule ~n
-            entry.Patterns_protocols.Registry.protocol
-        in
+        let s1 = classify ~base 1 in
         let metrics = ref Patterns_search.Metrics.zero in
-        let widened =
-          Classify.classify ~metrics ~base ~max_failures:2 ~jobs ~par_mode ~rule ~n
-            entry.Patterns_protocols.Registry.protocol
-        in
-        check_verdict
-          (Printf.sprintf "widened ≡ scratch (jobs=%d mode=%s)" jobs
-             (Patterns_search.Search.par_mode_string par_mode))
-          scratch widened;
-        ( !metrics.Patterns_search.Metrics.delta_seeds,
-          !metrics.Patterns_search.Metrics.delta_reused_edges ))
+        check_verdict (label "reused") s1 (classify ~metrics ~base 1);
+        check_verdict (label "mf=2 through an mf=1 base") (classify 2) (classify ~base 2);
+        !metrics.Patterns_search.Metrics.delta_reused_edges)
       combos
   in
   match counters with
   | [] -> assert false
   | c0 :: rest ->
-    let seeds, reused = c0 in
-    Alcotest.(check bool) "delta_seeds > 0" true (seeds > 0);
-    Alcotest.(check bool) "delta_reused_edges > 0" true (reused > 0);
-    List.iter
-      (fun c -> Alcotest.(check bool) "delta counters invariant" true (c = c0))
-      rest
+    Alcotest.(check bool) "delta_reused_edges > 0" true (c0 > 0);
+    List.iter (fun c -> check Alcotest.int "reuse counter invariant" c0 c) rest
+
+(* ----- the driver family is part of the fact key -----
+
+   coop-2pc at one crash has convergence points between
+   pattern-distinct paths, so the two drivers visit different counts
+   of it.  A base recorded under one driver must not answer a query
+   under the other. *)
+
+let test_driver_family_key () =
+  let entry = entry_exn "coop-2pc" in
+  let rule = rule_of_registry entry in
+  let classify ?base par_mode =
+    Classify.classify ?base ~max_failures:1 ~par_mode ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let async = classify Patterns_search.Search.Async
+  and layers = classify Patterns_search.Search.Layers in
+  Alcotest.(check bool)
+    "the drivers' counts differ" true
+    (async.Classify.configs <> layers.Classify.configs);
+  let base = Db.create () in
+  check_verdict "async into the base" async (classify ~base Patterns_search.Search.Async);
+  check_verdict "layers through an async base" layers
+    (classify ~base Patterns_search.Search.Layers);
+  check_verdict "async reused" async (classify ~base Patterns_search.Search.Async)
+
+(* ----- corrupt facts fail closed -----
+
+   A [classify_vec] fact whose sealed state-info payload has flipped
+   digits (or whose digest no longer matches) is refused before it is
+   unmarshalled; the vector is searched afresh and the verdict is the
+   from-scratch one. *)
+
+(* flip 64 hex digits inside the sealed payload [field] of every fact
+   of [kind]; returns how many facts were touched *)
+let corrupt_facts db ~kind ~field =
+  let flip_digits s =
+    String.mapi
+      (fun i c -> if i >= 64 && i < 128 then if c = 'f' then '0' else 'f' else c)
+      s
+  in
+  List.fold_left
+    (fun touched (key, fact) ->
+      match fact with
+      | Json.Obj fields ->
+        Db.put_fact db ~kind ~key
+          (Json.Obj
+             (List.map
+                (fun (k, v) ->
+                  match v with
+                  | Json.String hex when k = field -> (k, Json.String (flip_digits hex))
+                  | _ -> (k, v))
+                fields));
+        touched + 1
+      | _ -> Alcotest.fail "fact is not an object")
+    0 (Db.facts db ~kind)
+
+let test_corrupt_fact () =
+  let entry = entry_exn "fig3-chain" in
+  let rule = rule_of_registry entry in
+  let classify ?metrics ?base () =
+    Classify.classify ?metrics ?base ~max_failures:1 ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let scratch = classify () in
+  let base = Db.create () in
+  ignore (classify ~base () : Classify.verdict);
+  Alcotest.(check bool)
+    "facts were corrupted" true
+    (corrupt_facts base ~kind:"classify_vec" ~field:"smap" > 0);
+  let metrics = ref Patterns_search.Metrics.zero in
+  check_verdict "corrupt base ≡ scratch" scratch (classify ~metrics ~base ());
+  check Alcotest.int "nothing reused" 0 !metrics.Patterns_search.Metrics.delta_reused_edges
 
 (* ----- systematic hunt: memoized prefixes ≡ full replays ----- *)
 
@@ -272,7 +336,15 @@ let test_scheme_base () =
   (* a smaller budget than the stored size must recompute *)
   let tiny = S.patterns_for_inputs ~base ~max_configs:3 ~n ~inputs () in
   Alcotest.(check bool) "undersized budget recomputes (truncated)" true
-    (snd tiny).Patterns_pattern.Scheme.truncated
+    (snd tiny).Patterns_pattern.Scheme.truncated;
+  (* a corrupt pattern payload is refused and recomputed *)
+  Alcotest.(check bool)
+    "facts were corrupted" true
+    (corrupt_facts base ~kind:"scheme_vec" ~field:"pats" > 0);
+  let metrics = ref Patterns_search.Metrics.zero in
+  let third = S.patterns_for_inputs ~metrics ~base ~n ~inputs () in
+  Alcotest.(check bool) "corrupt fact ≡ scratch" true (eq scratch third);
+  Alcotest.(check int) "nothing reused" 0 !metrics.Patterns_search.Metrics.delta_reused_edges
 
 (* ----- descriptor cache: bounded fds, counted reopens ----- *)
 
@@ -314,10 +386,12 @@ let () =
     [
       ( "classify",
         [
-          Alcotest.test_case "registry widening oracle" `Slow test_registry_widening;
+          Alcotest.test_case "registry reuse oracle" `Slow test_registry_reuse;
           Alcotest.test_case "added input vectors" `Quick test_added_inputs;
           Alcotest.test_case "budget gate" `Quick test_budget_gate;
           Alcotest.test_case "jobs x par-mode matrix" `Slow test_matrix_invariance;
+          Alcotest.test_case "driver family in the key" `Quick test_driver_family_key;
+          Alcotest.test_case "corrupt fact fails closed" `Quick test_corrupt_fact;
         ] );
       ( "hunt",
         [

@@ -356,7 +356,7 @@ let test_scheme_par_threshold_invariant () =
 
 let test_hunt_jobs_invariant () =
   let run jobs =
-    Audit.hunt ~max_failures:2 ~max_runs:2_000 ~jobs ~property:Audit.TC
+    Random_hunt.run ~max_failures:2 ~max_runs:2_000 ~jobs ~property:Audit.TC
       ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:1984
       Patterns_protocols.Two_phase_commit.default
   in
@@ -370,7 +370,7 @@ let test_hunt_jobs_invariant () =
     jobs_values;
   (* a clean hunt reports the same run budget for every jobs value *)
   let clean jobs =
-    Audit.hunt ~max_failures:1 ~max_runs:200 ~jobs ~property:Audit.Agreement
+    Random_hunt.run ~max_failures:1 ~max_runs:200 ~jobs ~property:Audit.Agreement
       ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3 ~seed:7
       Patterns_protocols.Two_phase_commit.default
   in

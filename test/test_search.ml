@@ -49,16 +49,6 @@ let test_dfs_order () =
 let test_bfs_order () =
   check (Alcotest.list Alcotest.int) "bfs levels" [ 0; 1; 2; 3; 4; 5; 6 ] (record_order `Bfs)
 
-let test_priority_order () =
-  let seen = ref [] in
-  let module G = Graph (struct
-    let succs x =
-      seen := x :: !seen;
-      match x with 0 -> [ 9; 2; 7 ] | _ -> []
-  end) in
-  let _ = G.run ~strategy:(G.Priority Int.compare) ~root:0 () in
-  check (Alcotest.list Alcotest.int) "least state first" [ 0; 2; 7; 9 ] (List.rev !seen)
-
 let test_dedup_hits () =
   let outcome, m = Diamond.run ~root:0 () in
   (match outcome with Search.Exhausted -> () | _ -> Alcotest.fail "expected exhausted");
@@ -273,7 +263,6 @@ let () =
         [
           Alcotest.test_case "dfs order" `Quick test_dfs_order;
           Alcotest.test_case "bfs order" `Quick test_bfs_order;
-          Alcotest.test_case "priority order" `Quick test_priority_order;
           Alcotest.test_case "dedup hits" `Quick test_dedup_hits;
           Alcotest.test_case "goal stops" `Quick test_goal_stops;
           Alcotest.test_case "budget truncates" `Quick test_budget_truncates;

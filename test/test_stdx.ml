@@ -49,35 +49,10 @@ let test_prng_shuffle_permutes () =
   let s = Prng.shuffle_list g l in
   check (Alcotest.list Alcotest.int) "same multiset" l (List.sort compare s)
 
-(* ----- Pqueue ----- *)
-
-let test_pqueue_sorts () =
-  let q = Pqueue.of_list ~cmp:Int.compare [ 5; 3; 9; 1; 7; 3 ] in
-  check (Alcotest.list Alcotest.int) "sorted pop order" [ 1; 3; 3; 5; 7; 9 ]
-    (Pqueue.to_sorted_list q)
-
-let test_pqueue_empty () =
-  let q = Pqueue.empty ~cmp:Int.compare in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.(check (option int)) "peek none" None (Pqueue.peek q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None)
-
-let test_pqueue_size_and_mem () =
-  let q = Pqueue.of_list ~cmp:Int.compare [ 4; 2; 8 ] in
-  Alcotest.(check int) "size" 3 (Pqueue.size q);
-  Alcotest.(check bool) "mem 8" true (Pqueue.mem q 8);
-  Alcotest.(check bool) "mem 5" false (Pqueue.mem q 5)
-
 (* qcheck properties *)
 let qcheck_tests =
   let open QCheck2 in
   [
-    Test.make ~count:300 ~name:"pqueue pops ascending" Gen.(list small_int) (fun l ->
-        let q = Pqueue.of_list ~cmp:Int.compare l in
-        Pqueue.to_sorted_list q = List.sort Int.compare l);
-    Test.make ~count:300 ~name:"pqueue push preserves size" Gen.(list small_int) (fun l ->
-        let q = Pqueue.of_list ~cmp:Int.compare l in
-        Pqueue.size q = List.length l);
     Test.make ~count:300 ~name:"bitset to_list sorted and deduped"
       Gen.(list (int_bound 63))
       (fun l ->
@@ -642,6 +617,23 @@ let test_json_unicode_roundtrip () =
   check Alcotest.bool "escape = raw bytes" true
     (Json.equal (json_ok {|"\u20ac"|}) (json_ok "\"\xe2\x82\xac\""))
 
+(* ----- Hex seals ----- *)
+
+(* a sealed payload round-trips; flipping any of its hex digits, or
+   cutting it short, is refused before the unmarshaller runs *)
+let test_hex_seal () =
+  let v = (List.init 50 (fun i -> (i, string_of_int i)), [| 1.5; -2. |]) in
+  let sealed = Hex.seal v in
+  check Alcotest.bool "round trip" true (Hex.unseal sealed = Some v);
+  let flip s i =
+    String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') s
+  in
+  for i = 0 to String.length sealed - 1 do
+    if Hex.unseal (flip sealed i) <> None then Alcotest.failf "digit %d flipped, accepted" i
+  done;
+  check Alcotest.bool "short" true (Hex.unseal (String.sub sealed 0 30) = None);
+  check Alcotest.bool "not hex" true (Hex.unseal "zz" = None)
+
 (* ----- Dot / Table ----- *)
 
 let test_dot_render () =
@@ -681,12 +673,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_prng_errors;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "sorts" `Quick test_pqueue_sorts;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "size and mem" `Quick test_pqueue_size_and_mem;
-        ] );
+      ( "hex", [ Alcotest.test_case "seal refuses corruption" `Quick test_hex_seal ] );
       ( "domain_pool",
         [
           Alcotest.test_case "empty and singleton" `Quick test_pool_empty_and_singleton;
