@@ -15,14 +15,6 @@ open Patterns_stdx
    classification); --jobs on the command line, 0 = all cores. *)
 let jobs = ref 1
 
-(* Frontier size at which a search layer goes parallel; None means the
-   kernel's automatic default. *)
-let par_threshold = ref None
-
-(* Parallel driver for the sweeps; None means each sweep's library
-   default (async for scheme/classify). *)
-let par_mode : Patterns_search.Search.par_mode option ref = ref None
-
 (* --quick trims the Bechamel quota and sweep sizes for CI smoke. *)
 let quick = ref false
 
@@ -463,7 +455,7 @@ let sweep_timings () =
     let metrics = ref Patterns_search.Metrics.zero in
     let (pats, stats), secs =
       wall (fun () ->
-          S.scheme ~metrics ~jobs:j ?par_threshold:!par_threshold ?par_mode:!par_mode ~n ())
+          S.scheme ~metrics ~jobs:j ~n ())
     in
     ( name, j, secs,
       Printf.sprintf "patterns=%d configs=%d" (Pattern.Set.cardinal pats)
@@ -474,8 +466,7 @@ let sweep_timings () =
     let metrics = ref Patterns_search.Metrics.zero in
     let v, secs =
       wall (fun () ->
-          Classify.classify ~metrics ?max_configs ~jobs:j ?par_threshold:!par_threshold
-            ?par_mode:!par_mode ~max_failures:1 ~rule ~n p)
+          Classify.classify ~metrics ?max_configs ~jobs:j ~max_failures:1 ~rule ~n p)
     in
     (name, j, secs, Printf.sprintf "configs=%d" v.Classify.configs, !metrics)
   in
@@ -487,8 +478,7 @@ let sweep_timings () =
     let metrics = ref Patterns_search.Metrics.zero in
     let v, secs =
       wall (fun () ->
-          Classify.classify ~metrics ?max_configs ~jobs:j ?par_threshold:!par_threshold
-            ?par_mode:!par_mode ~max_failures:1
+          Classify.classify ~metrics ?max_configs ~jobs:j ~max_failures:1
             ~spill:{ Patterns_search.Search.dir; mem_budget } ~rule ~n p)
     in
     (try Sys.rmdir dir with Sys_error _ -> ());
@@ -526,16 +516,14 @@ let sweep_timings () =
       let metrics = ref Patterns_search.Metrics.zero in
       let v, secs =
         wall (fun () ->
-            Classify.classify ~metrics ?base ~jobs:1 ?par_threshold:!par_threshold
-              ?par_mode:!par_mode ~max_failures ~rule ~n p)
+            Classify.classify ~metrics ?base ~jobs:1 ~max_failures ~rule ~n p)
       in
       (name, 1, secs, Printf.sprintf "configs=%d" v.Classify.configs, !metrics)
     in
     let seeded mf =
       let base = Patterns_db.Db.create () in
       let _ : Classify.verdict =
-        Classify.classify ~base ~jobs:1 ?par_threshold:!par_threshold ?par_mode:!par_mode
-          ~max_failures:mf ~rule ~n p
+        Classify.classify ~base ~jobs:1 ~max_failures:mf ~rule ~n p
       in
       base
     in
@@ -638,12 +626,8 @@ let emit_json ~path =
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"patterns-bench/6\",\n");
+  Buffer.add_string b (Printf.sprintf "  \"schema\": \"patterns-bench/7\",\n");
   Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
-  Buffer.add_string b
-    (Printf.sprintf "  \"par_mode\": \"%s\",\n"
-       (Patterns_search.Search.par_mode_string
-          (Option.value !par_mode ~default:Patterns_search.Search.Async)));
   Buffer.add_string b
     (Printf.sprintf "  \"recommended_domains\": %d,\n" (Domain_pool.default_jobs ()));
   Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" !quick);
@@ -674,8 +658,8 @@ let emit_json ~path =
       let kernel =
         (* the kernel's deterministic counters: identical across jobs
            values (hunt's expanded count may overshoot by one batch).
-           The volatile /3 fields — lock_contention, expand_seconds,
-           parallel_efficiency — are deliberately absent: a baseline
+           The volatile fields — lock_contention, expand_seconds —
+           are deliberately absent: a baseline
            must only pin what every rerun reproduces.  The /8
            incremental section rides along: prefix_hits and
            prefix_states_saved (shared failure-free prefixes in the
@@ -691,8 +675,7 @@ let emit_json ~path =
         Printf.sprintf
           "\"kernel\": { \"outcome\": \"%s\", \"states_expanded\": %d, \"dedup_hits\": %d, \
            \"frontier_peak\": %d, \"pruned\": %d, \"fingerprint_probes\": %d, \
-           \"collision_fallbacks\": %d, \"intern_bindings\": %d, \"layers\": %d, \
-           \"par_layers\": %d, \"shard_bits\": %d, \"shard_occupancy_max\": %d, \
+           \"collision_fallbacks\": %d, \"intern_bindings\": %d, \"shard_bits\": %d, \
            \"shard_occupancy_total\": %d, \"frontier_peak_sum\": %d, \"spill_runs\": %d, \
            \"spill_evictions\": %d, \"spill_probes\": %d, \"spill_read_bytes\": %d, \
            \"spill_write_bytes\": %d, \"spill_fd_reopens\": %d, \"prefix_hits\": %d, \
@@ -701,10 +684,10 @@ let emit_json ~path =
           (outcome_string metrics.outcome)
           metrics.states_expanded metrics.dedup_hits metrics.frontier_peak metrics.pruned
           metrics.fingerprint_probes metrics.collision_fallbacks metrics.intern_bindings
-          metrics.layers metrics.par_layers metrics.shard_bits metrics.shard_occupancy_max
-          metrics.shard_occupancy_total metrics.frontier_peak_sum metrics.spill_runs
-          metrics.spill_evictions metrics.spill_probes metrics.spill_read_bytes
-          metrics.spill_write_bytes metrics.spill_fd_reopens metrics.prefix_hits
+          metrics.shard_bits metrics.shard_occupancy_total metrics.frontier_peak_sum
+          metrics.spill_runs metrics.spill_evictions metrics.spill_probes
+          metrics.spill_read_bytes metrics.spill_write_bytes metrics.spill_fd_reopens
+          metrics.prefix_hits
           metrics.prefix_states_saved metrics.delta_reused_edges
           metrics.drops_injected metrics.omission_plans metrics.mobile_faults
       in
@@ -790,15 +773,10 @@ let read_baseline path =
       lines
   in
   let top_quick = List.exists (fun l -> find_sub l "\"quick\": true" 0 <> None) lines in
-  let top_par_mode =
-    List.find_map
-      (fun l -> if str_field l "name" = None then str_field l "par_mode" else None)
-      lines
-  in
-  (rows, top_jobs, top_quick, top_par_mode)
+  (rows, top_jobs, top_quick)
 
 let check_against ~baseline =
-  let rows, top_jobs, top_quick, top_par_mode = read_baseline baseline in
+  let rows, top_jobs, top_quick = read_baseline baseline in
   if rows = [] then begin
     Format.eprintf "bench --check: no sweep rows in %s@." baseline;
     exit 1
@@ -808,10 +786,6 @@ let check_against ~baseline =
      the baseline's own configuration wins *)
   let cli_quick = !quick in
   (match top_jobs with Some j -> jobs := int_of_float j | None -> ());
-  (match top_par_mode with
-  | Some "layers" -> par_mode := Some Patterns_search.Search.Layers
-  | Some "async" -> par_mode := Some Patterns_search.Search.Async
-  | _ -> ());
   quick := cli_quick || top_quick;
   Format.printf "bench --check: %d baseline rows from %s (jobs=%d quick=%b)@."
     (List.length rows) baseline !jobs !quick;
@@ -881,17 +855,11 @@ let check_against ~baseline =
            the way depend on which dedup racer reaches each config
            first, so under the async driver with more than one worker
            the binding count is schedule-dependent.  Compare it only
-           where it is deterministic (layers, or a single worker).
-           The frontier gauges — the async queue's high-water mark —
-           and the spill counters — eviction timing — are
-           schedule-dependent under the same conditions and get the
-           same gate. *)
-        let async_mode =
-          match !par_mode with
-          | Some Patterns_search.Search.Layers -> false
-          | Some Patterns_search.Search.Async | None -> true
-        in
-        if (not async_mode) || row.b_jobs = 1 then begin
+           where it is deterministic (a single worker).  The frontier
+           gauges — the async queue's high-water mark — and the spill
+           counters — eviction timing — are schedule-dependent under
+           the same conditions and get the same gate. *)
+        if row.b_jobs = 1 then begin
           expect "intern_bindings" m.intern_bindings;
           expect "frontier_peak" m.frontier_peak;
           expect "frontier_peak_sum" m.frontier_peak_sum;
@@ -902,10 +870,7 @@ let check_against ~baseline =
           expect "spill_write_bytes" m.spill_write_bytes;
           expect "spill_fd_reopens" m.spill_fd_reopens
         end;
-        expect "layers" m.layers;
-        expect "par_layers" m.par_layers;
         expect "shard_bits" m.shard_bits;
-        expect "shard_occupancy_max" m.shard_occupancy_max;
         expect "shard_occupancy_total" m.shard_occupancy_total)
     rows;
   (* wall-clock comparison over the rows compared on both sides.
@@ -958,13 +923,8 @@ let check_against ~baseline =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--jobs J] [--par-threshold K] [--par-mode MODE] [--json] [--quick] \
-     [--out PATH] [--check] [--baseline PATH]\n\
+    "usage: main.exe [--jobs J] [--json] [--quick] [--out PATH] [--check] [--baseline PATH]\n\
     \  --jobs J     worker domains for the parallel sweeps (0 = all cores)\n\
-    \  --par-threshold K  frontier size at which a search layer goes parallel\n\
-    \               (default: automatic; results are identical for every value)\n\
-    \  --par-mode M parallel driver for the sweeps: async (default) or layers;\n\
-    \               exhaustive sweeps produce identical counters under both\n\
     \  --json       emit machine-readable timings to BENCH_patterns.json and exit\n\
     \  --quick      smaller quotas and sweeps (CI smoke); with --check, compares\n\
     \               only the quick sweep subset of the baseline\n\
@@ -984,15 +944,6 @@ let () =
     | [] -> ()
     | ("-j" | "--jobs") :: v :: rest -> (
       match int_of_string_opt v with Some j -> jobs := j; parse rest | None -> usage ())
-    | "--par-threshold" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some k -> par_threshold := Some k; parse rest
-      | None -> usage ())
-    | "--par-mode" :: v :: rest -> (
-      match v with
-      | "layers" -> par_mode := Some Patterns_search.Search.Layers; parse rest
-      | "async" -> par_mode := Some Patterns_search.Search.Async; parse rest
-      | _ -> usage ())
     | "--json" :: rest ->
       json := true;
       parse rest

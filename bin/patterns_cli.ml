@@ -92,30 +92,10 @@ let jobs_arg =
 
 let resolve_jobs j = if j <= 0 then Patterns_stdx.Domain_pool.default_jobs () else j
 
-let par_threshold_arg =
-  Arg.(value & opt (some int) None
-       & info [ "par-threshold" ] ~docv:"K"
-         ~doc:"($(b,--par-mode layers) only) Frontier size at which a search layer is \
-               expanded across the worker domains (default: automatic). The result is \
-               identical for every value; only the wall clock changes.")
-
-let par_mode_arg =
-  Arg.(value
-       & opt (some (enum [ ("async", Patterns_search.Search.Async);
-                           ("layers", Patterns_search.Search.Layers) ])) None
-       & info [ "par-mode" ] ~docv:"MODE"
-         ~doc:"Parallel search driver: $(b,async) distributes work through per-worker \
-               stealing deques over a lock-free visited table; $(b,layers) is the \
-               layer-synchronous barrier driver. The default is $(b,async) everywhere \
-               except $(b,realize), whose shortest-witness guarantee needs $(b,layers). \
-               An exhaustive search produces identical answers and deterministic \
-               counters under both; a truncated one keeps its counts but visits a \
-               schedule-dependent subset under $(b,async).")
-
 let metrics_json_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics-json" ] ~docv:"FILE"
-         ~doc:"Write the search kernel's metrics (schema $(b,patterns-search-metrics/8)) \
+         ~doc:"Write the search kernel's metrics (schema $(b,patterns-search-metrics/11)) \
                as JSON to $(docv); $(b,-) means stdout.")
 
 let db_arg =
@@ -132,8 +112,8 @@ let base_db_arg =
        & info [ "base-db" ] ~docv:"FILE"
          ~doc:"Incremental base for $(b,check)/$(b,classify): reuse the per-vector \
                $(b,classify_vec) facts an earlier run recorded into $(docv) wholesale \
-               when protocol, $(b,-n), $(b,--max-failures), $(b,--fifo-notices), \
-               $(b,--par-mode) and input vector all match and the fact fits the budget; \
+               when protocol, $(b,-n), $(b,--max-failures), $(b,--fifo-notices) and \
+               input vector all match and the fact fits the budget; \
                search every other vector afresh and record it back on exit.  Verdicts \
                are bit-identical to a from-scratch run, and a corrupt fact is refused \
                and recomputed; the metrics counter $(b,delta_reused_edges) counts the \
@@ -174,7 +154,7 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE"
          ~doc:"Record each completed root (input vector, hunt index chunk) into $(docv) \
-               (schema $(b,patterns-checkpoint/1)), atomically rewritten on every record; \
+               (schema $(b,patterns-checkpoint/2)), atomically rewritten on every record; \
                a killed run picks up with $(b,--resume). Deadline-truncated roots are \
                never recorded.")
 
@@ -297,8 +277,8 @@ let run_cmd =
 
 let scheme_cmd =
   let doc = "Enumerate a protocol's scheme (all failure-free communication patterns)." in
-  let run name n jobs par_threshold par_mode deadline max_states spill_dir mem_budget
-      checkpoint resume kill_after metrics_json =
+  let run name n jobs deadline max_states spill_dir mem_budget checkpoint resume kill_after
+      metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let spill = spill_of spill_dir mem_budget in
@@ -308,8 +288,8 @@ let scheme_cmd =
     let metrics = ref Patterns_search.Metrics.zero in
     let pats, stats =
       catch_failures (fun () ->
-          S.scheme ~metrics ~jobs:(resolve_jobs jobs) ?par_threshold ?par_mode ?deadline
-            ?max_live:max_states ?spill ?checkpoint:ckpt ~n ())
+          S.scheme ~metrics ~jobs:(resolve_jobs jobs) ?deadline ?max_live:max_states ?spill
+            ?checkpoint:ckpt ~n ())
     in
     Format.printf "%a@.%a@." Patterns_pattern.Scheme.pp_stats stats
       Patterns_pattern.Scheme.pp_scheme pats;
@@ -318,9 +298,9 @@ let scheme_cmd =
   in
   Cmd.v (Cmd.info "scheme" ~doc)
     Term.(
-      const run $ protocol_arg $ n_arg $ jobs_arg $ par_threshold_arg $ par_mode_arg
-      $ deadline_arg $ max_states_arg $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg
-      $ resume_arg $ kill_after_arg $ metrics_json_arg)
+      const run $ protocol_arg $ n_arg $ jobs_arg $ deadline_arg $ max_states_arg
+      $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg
+      $ metrics_json_arg)
 
 (* ----- realize ----- *)
 
@@ -345,8 +325,8 @@ let realize_cmd =
          & info [ "max-configs" ] ~docv:"K"
            ~doc:"Search budget; when hit, the answer is $(b,truncated), not unrealizable.")
   in
-  let run name n inputs target_of k max_configs jobs par_threshold par_mode spill_dir
-      mem_budget checkpoint resume kill_after metrics_json =
+  let run name n inputs target_of k max_configs spill_dir mem_budget checkpoint resume
+      kill_after metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let inputs = or_die (parse_inputs n inputs) in
@@ -377,8 +357,7 @@ let realize_cmd =
     let metrics = ref Patterns_search.Metrics.zero in
     let result =
       catch_failures (fun () ->
-          S.realize ~metrics ~jobs:(resolve_jobs jobs) ?par_threshold ?par_mode
-            ~max_configs ?spill ?checkpoint:ckpt ~n ~inputs ~target ())
+          S.realize ~metrics ~max_configs ?spill ?checkpoint:ckpt ~n ~inputs ~target ())
     in
     let code =
       match result with
@@ -403,8 +382,8 @@ let realize_cmd =
   Cmd.v (Cmd.info "realize" ~doc)
     Term.(
       const run $ protocol_arg $ n_arg $ inputs_arg $ target_of_arg $ pattern_arg
-      $ max_configs_arg $ jobs_arg $ par_threshold_arg $ par_mode_arg $ spill_dir_arg
-      $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg $ metrics_json_arg)
+      $ max_configs_arg $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg $ resume_arg
+      $ kill_after_arg $ metrics_json_arg)
 
 (* ----- dot ----- *)
 
@@ -456,9 +435,8 @@ let classify_term =
            ~doc:"Exploration budget; when hit, the verdict is marked $(b,truncated) and the \
                  exit code is 2.")
   in
-  let run name n max_failures max_configs fifo_notices jobs par_threshold par_mode
-      deadline max_states spill_dir mem_budget checkpoint resume kill_after db_file
-      base_db_file metrics_json =
+  let run name n max_failures max_configs fifo_notices jobs deadline max_states spill_dir
+      mem_budget checkpoint resume kill_after db_file base_db_file metrics_json =
     let entry = or_die (find_protocol name) in
     let n = or_die (resolve_n entry n) in
     let rule = rule_of_registry entry in
@@ -475,9 +453,9 @@ let classify_term =
     let v =
       catch_failures (fun () ->
           Classify.classify ~metrics ?db:(db_handle db) ?base:(db_handle base)
-            ~max_failures ~max_configs ~fifo_notices ~jobs:(resolve_jobs jobs)
-            ?par_threshold ?par_mode ?deadline ?max_live:max_states ?spill
-            ?checkpoint:ckpt ~rule ~n entry.Patterns_protocols.Registry.protocol)
+            ~max_failures ~max_configs ~fifo_notices ~jobs:(resolve_jobs jobs) ?deadline
+            ?max_live:max_states ?spill ?checkpoint:ckpt ~rule ~n
+            entry.Patterns_protocols.Registry.protocol)
     in
     save_db db;
     if not shared then save_db base;
@@ -500,7 +478,7 @@ let classify_term =
   in
   Term.(
     const run $ protocol_arg $ n_arg $ max_failures_arg $ max_configs_arg $ fifo_notices_arg
-    $ jobs_arg $ par_threshold_arg $ par_mode_arg $ deadline_arg $ max_states_arg
+    $ jobs_arg $ deadline_arg $ max_states_arg
     $ spill_dir_arg $ mem_budget_arg $ checkpoint_arg $ resume_arg $ kill_after_arg
     $ db_arg $ base_db_arg $ metrics_json_arg)
 

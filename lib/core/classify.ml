@@ -21,19 +21,28 @@ type verdict = {
 
 (* ----- execution-database facts for classification sweeps ----- *)
 
-(* The fact key names every parameter the verdict depends on.  The
-   parallel knobs (jobs, par_threshold, par_mode) are excluded: the
-   sweep is jobs- and mode-invariant, which is exactly why its verdict
-   is cacheable.  The deadline is excluded too, but deadline-bounded
+(* The fact key names every parameter the verdict depends on,
+   including the driver family: the sweep is jobs-invariant, but the
+   two drivers can visit different numbers of nodes on one space
+   (explore.mli), so a verdict recorded under one must not answer the
+   other.  Facts of the default driver ([Async]) keep the key they had
+   before the driver was part of it, so databases recorded at the
+   default stay valid (and saved databases stay byte-identical); the
+   serial reference's facts carry [|mode=layers].  Databases written
+   with the old layered driver used the unmarked key too, so their
+   facts still answer [Async] queries (classify.mli).  The deadline is excluded, but deadline-bounded
    sweeps are never *stored* — their truncation point is wall-clock
    dependent, so their verdicts are not reproducible facts. *)
-let fact_key ~name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live
+let fact_key ~name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live ~par_mode
     ~inputs_choices =
   let vec v = String.concat "" (List.map (fun b -> if b then "1" else "0") v) in
-  Printf.sprintf "%s|%d|%s|mf=%d|mc=%d|fifo=%b|ml=%s|iv=%s" name n
+  Printf.sprintf "%s|%d|%s|mf=%d|mc=%d|fifo=%b|ml=%s%s|iv=%s" name n
     (Format.asprintf "%a" Patterns_protocols.Decision_rule.pp rule)
     max_failures max_configs fifo_notices
     (match max_live with None -> "-" | Some l -> string_of_int l)
+    (match par_mode with
+    | Patterns_search.Search.Async -> ""
+    | Patterns_search.Search.Layers -> "|mode=layers")
     (String.concat "," (List.map vec inputs_choices))
 
 let verdict_to_fact v =
@@ -105,16 +114,17 @@ let verdict_of_fact j =
     }
 
 let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
-    ?(fifo_notices = false) ?(jobs = 1) ?par_threshold ?par_mode ?deadline ?max_live ?spill
+    ?(fifo_notices = false) ?(jobs = 1) ?par_mode ?deadline ?max_live ?spill
     ?checkpoint ~rule ~n (module P : Protocol.S) =
   let module X = Explore.Make (P) in
   let defaults = X.default_options ~n in
   let max_failures = Option.value max_failures ~default:defaults.X.max_failures in
   let max_configs = Option.value max_configs ~default:defaults.X.max_configs in
   let inputs_choices = Option.value inputs_choices ~default:defaults.X.inputs_choices in
+  let par_mode = Option.value par_mode ~default:defaults.X.par_mode in
   let key =
     fact_key ~name:P.name ~rule ~n ~max_failures ~max_configs ~fifo_notices ~max_live
-      ~inputs_choices
+      ~par_mode ~inputs_choices
   in
   let merge_db_metrics db s0 =
     let s1 = Db.stats db in
@@ -150,8 +160,7 @@ let classify ?metrics ?db ?base ?max_failures ?max_configs ?inputs_choices
         inputs_choices;
         fifo_notices;
         jobs;
-        par_threshold;
-        par_mode = Option.value par_mode ~default:defaults.X.par_mode;
+        par_mode;
         deadline;
         max_live;
         edge_sink;

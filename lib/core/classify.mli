@@ -36,7 +36,6 @@ val classify :
   ?inputs_choices:bool list list ->
   ?fifo_notices:bool ->
   ?jobs:int ->
-  ?par_threshold:int ->
   ?par_mode:Patterns_search.Search.par_mode ->
   ?deadline:float ->
   ?max_live:int ->
@@ -62,20 +61,30 @@ val classify :
     may be the same database as [db].  Ignored while [deadline] or
     [max_live] is set.
 
-    [par_mode] selects the parallel driver (default
-    {!Patterns_search.Search.Async}); exhaustive sweeps give identical
-    verdicts for both modes and every [jobs], truncated ones should
-    pin [Layers] when comparing counts across [jobs].
+    [par_mode] selects the driver (default
+    {!Patterns_search.Search.Async}, the work-stealing pool across
+    [jobs] domains; [Layers] is the serial breadth-first reference,
+    which ignores [jobs]).  Both give identical verdicts on exhaustive
+    sweeps and are jobs-invariant, but their visited counts can
+    differ on one space (explore.mli) and a truncated [Async] sweep
+    visits a schedule-dependent subset, so truncation-sensitive
+    comparisons should pin [Layers].
 
     [db] attaches an execution database: if a verdict fact for the
-    same (protocol, n, rule, budget, fault-bound, input-set) sweep is
-    stored, it is returned with {e zero} kernel expansions (only the
+    same (protocol, n, rule, budget, fault-bound, driver, input-set)
+    sweep is stored, it is returned with {e zero} kernel expansions (only the
     database counters move in [?metrics]); otherwise the sweep runs
     live with every kernel expansion recorded as an edge, and — when
     no wall-clock deadline bounds it — its verdict is stored as a
-    fact for the next call.  The parallel knobs are deliberately
-    absent from the fact key: the sweep is jobs- and mode-invariant,
-    which is what makes its verdict cacheable. *)
+    fact for the next call.  [jobs] is deliberately absent from the
+    fact key — the sweep is jobs-invariant, which is what makes its
+    verdict cacheable — but the driver is in it: [Layers] facts carry
+    [|mode=layers], and [Async] facts keep the key databases recorded
+    at the default driver already use (it is also pinned byte for byte
+    by saved-database checks).  The price: a database recorded with
+    the layer-synchronous driver before the driver entered the key
+    stored its verdicts under that same key, so it still answers
+    [Async] queries with layered counts — rebuild such databases. *)
 
 val solves : verdict -> Taxonomy.t -> bool
 (** Interpret the verdict against a taxonomy point (the rule is

@@ -11,7 +11,6 @@ module Make (P : Protocol.S) = struct
     inputs_choices : bool list list;
     fifo_notices : bool;
     jobs : int;
-    par_threshold : int option;
     par_mode : Patterns_search.Search.par_mode;
     deadline : float option;
     max_live : int option;
@@ -28,7 +27,6 @@ module Make (P : Protocol.S) = struct
       inputs_choices = Listx.all_bool_vectors n;
       fifo_notices = false;
       jobs = 1;
-      par_threshold = None;
       par_mode = Patterns_search.Search.Async;
       deadline = None;
       max_live = None;
@@ -118,17 +116,17 @@ module Make (P : Protocol.S) = struct
       occurrences = a.occurrences + b.occurrences;
     }
 
-  (* Observation accumulator for the parallel drivers: one per
-     expansion task (layered) or per worker (async).  [cells] holds
-     the seven violation witnesses, indexed below, each tagged with
-     the fingerprint key of the node whose expansion observed it; the
+  (* Observation accumulator for the search drivers: one per serial
+     search, one per work-stealing worker.  [cells] holds the seven
+     violation witnesses, indexed below, each tagged with the
+     fingerprint key of the node whose expansion observed it; the
      canonical witness is the one at the {e smallest key}, which is a
-     property of the violation set alone — not of chunk boundaries,
-     worker schedules, or visitation order — so both drivers and
-     every [jobs] value report the same witness.  (A key tie between
-     two distinct violating nodes is a 62-bit fingerprint collision;
-     ties within one node's expansion resolve first-observed, which
-     is the node's deterministic internal order.) *)
+     property of the violation set alone — not of worker schedules or
+     visitation order — so both drivers and every [jobs] value report
+     the same witness.  (A key tie between two distinct violating
+     nodes is a 62-bit fingerprint collision; ties within one node's
+     expansion resolve first-observed, which is the node's
+     deterministic internal order.) *)
   let ic_cell = 0
   and tc_cell = 1
   and wt_cell = 2
@@ -345,9 +343,9 @@ module Make (P : Protocol.S) = struct
               (match cell with None -> 0 | Some Decision.Commit -> 1 | Some Decision.Abort -> 2))
           (E.behavioral_fingerprint c) d
 
-      (* expansion goes through the layer-synchronous driver's
-         observation interface; the serial entry point is unused *)
-      let expand _ = invalid_arg "Explore.Node.expand: use run_par"
+      (* expansion goes through the drivers' observation interface
+         ([node_expand]); the plain [run] entry point is unused *)
+      let expand _ = invalid_arg "Explore.Node.expand: use run_driver"
     end
 
   module K = Patterns_search.Search.Make (Node)
@@ -411,13 +409,8 @@ module Make (P : Protocol.S) = struct
         }
       in
       let root = (root_config, Array.make n None) in
-      match options.par_mode with
-      | Patterns_search.Search.Layers ->
-        K.run_par ~pool ?par_threshold:options.par_threshold ~budget ?deadline
-          ?max_live:options.max_live ?spill:options.spill ?edges ~expand ~root ()
-      | Patterns_search.Search.Async ->
-        K.run_par_async ~pool ~budget ?deadline ?max_live:options.max_live
-          ?spill:options.spill ?edges ~expand ~root ()
+      K.run_driver ~par_mode:options.par_mode ~pool ~budget ?deadline
+        ?max_live:options.max_live ?spill:options.spill ?edges ~expand ~root ()
     in
     let m = Patterns_search.Metrics.with_intern_bindings (E.intern_bindings root_config) m in
     (o, Patterns_search.Search.truncated outcome, m)
@@ -617,9 +610,9 @@ module Make (P : Protocol.S) = struct
        roughly the work of the old single-visited-set loop *)
     let budget = (options.max_configs + nvec - 1) / nvec in
     (* Input vectors are baked into every configuration, so the roots
-       partition the state space.  Since PR 4 the parallelism is
-       *intra*-root: the layer-synchronous driver fans each vector's
-       frontier layers across the pool, and the outer loop stays on
+       partition the state space.  The parallelism is *intra*-root:
+       the work-stealing driver spreads each vector's search across
+       the pool, and the outer loop stays on
        the pool-owning domain (nested pool maps are not supported),
        merging reports and metrics in vector order — bit-identical
        for every [jobs]. *)

@@ -35,18 +35,14 @@ module Make (P : Protocol.S) : sig
             sender's messages (fail-stop-processor discipline); the
             paper's unordered default is [false] *)
     jobs : int;
-        (** worker domains (default 1); parallelism is intra-root —
-            each vector's search is fanned across the pool by the
-            driver selected by [par_mode] — and any value yields the
-            same report on an exhaustive sweep *)
-    par_threshold : int option;
-        (** ([Layers] mode only) frontier size at which a layer is
-            expanded in parallel; [None] means
-            {!Patterns_search.Search.Make.default_par_threshold}.
-            Any value yields the same report. *)
+        (** worker domains (default 1) for the [Async] driver;
+            parallelism is intra-root — each vector's search is spread
+            across the pool — and any value yields the same report on
+            an exhaustive sweep *)
     par_mode : Patterns_search.Search.par_mode;
-        (** parallel driver: [Async] (default) is the work-stealing
-            driver, [Layers] the layer-synchronous barrier driver.
+        (** search driver: [Async] (default) is the work-stealing
+            pool, [Layers] the serial breadth-first reference, which
+            ignores [jobs].
             Violation witnesses are canonicalized — each report cell
             keeps the violation observed at the smallest expanded-node
             fingerprint key — so exhaustive sweeps produce identical

@@ -58,7 +58,8 @@ val edges : t -> ?src:int -> ?event:string -> ?dst:int -> unit -> (int * string 
     scan of the index chosen by {!Index.select} (memoised in the
     cache).  Results are sorted by [(src, event, dst)] — fingerprint,
     then descriptor, then fingerprint — so they are independent of
-    insertion order and hence of [--jobs]/[--par-mode]. *)
+    insertion order and hence of the worker count and the search
+    driver. *)
 
 val mem_config : t -> int -> bool
 (** Whether a config fingerprint appears in the dictionary (i.e. some

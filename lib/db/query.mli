@@ -6,8 +6,8 @@
     successors visited in canonical (sorted) order, and
     [certs_touching] filters stored certificate facts by crash
     schedule.  All results are insertion-order-independent, hence
-    [--jobs]- and [--par-mode]-invariant for a given recorded edge
-    set. *)
+    invariant under the worker count and the search driver for a
+    given recorded edge set. *)
 
 type edge = {
   src : int;  (** config fingerprint *)

@@ -40,15 +40,15 @@ module Make (P : Protocol.S) = struct
 
   module K = Search.Make (Pr)
 
-  (* Per-task observation accumulator for the layer-synchronous
-     driver.  [seen_pats] is the terminal-pattern cache: distinct
-     terminal configurations mostly repeat a handful of patterns, and
-     extraction ([Pattern.make]) is far more expensive than a
-     fingerprint probe.  Keyed by [E.pattern_fp]; a hit is only
+  (* Observation accumulator: one per serial search, one per
+     work-stealing worker.  [seen_pats] is the terminal-pattern cache:
+     distinct terminal configurations mostly repeat a handful of
+     patterns, and extraction ([Pattern.make]) is far more expensive
+     than a fingerprint probe.  Keyed by [E.pattern_fp]; a hit is only
      trusted when [E.same_pattern_rep] confirms it on the interned
      representation, so a fingerprint collision merely costs one
-     redundant extraction.  The cache is task-local (dropped at
-     merge), so it never leaks observations across accumulators —
+     redundant extraction.  The cache is accumulator-local (dropped
+     at merge), so it never leaks observations across accumulators —
      [Pattern.Set.union] dedups structurally either way. *)
   type obs = {
     mutable pats : Pattern.Set.t;
@@ -138,9 +138,9 @@ module Make (P : Protocol.S) = struct
 
   (* [obs] merging is union/sum — commutative as well as associative —
      so the async driver's worker-order fold collects the same pattern
-     set and terminal count as the layered driver's frontier-order
+     set and terminal count as the serial driver's visitation-order
      fold. *)
-  let patterns_for_inputs_m ?pool ?par_threshold ?(par_mode = Search.Async)
+  let patterns_for_inputs_m ?pool ?(par_mode = Search.Async)
       ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?base ~n ~inputs () =
     let base =
       match base with
@@ -161,13 +161,8 @@ module Make (P : Protocol.S) = struct
     | _ ->
       let root = E.init ~n ~inputs in
       let outcome, o, m =
-        match par_mode with
-        | Search.Layers ->
-          K.run_par ?pool ?par_threshold ~budget:max_configs ?deadline ?max_live ?spill
-            ~expand:obs_expand ~root ()
-        | Search.Async ->
-          K.run_par_async ?pool ~budget:max_configs ?deadline ?max_live ?spill
-            ~expand:obs_expand ~root ()
+        K.run_driver ~par_mode ?pool ~budget:max_configs ?deadline ?max_live ?spill
+          ~expand:obs_expand ~root ()
       in
       let m = Metrics.with_intern_bindings (E.intern_bindings root) m in
       let truncated = Search.truncated outcome in
@@ -185,12 +180,12 @@ module Make (P : Protocol.S) = struct
           } ),
         m )
 
-  let patterns_for_inputs ?metrics ?(jobs = 1) ?par_threshold ?par_mode ?max_configs
-      ?deadline ?max_live ?spill ?base ~n ~inputs () =
+  let patterns_for_inputs ?metrics ?(jobs = 1) ?par_mode ?max_configs ?deadline ?max_live
+      ?spill ?base ~n ~inputs () =
     let result, m =
       Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
-          patterns_for_inputs_m ~pool ?par_threshold ?par_mode ?max_configs ?deadline
-            ?max_live ?spill ?base ~n ~inputs ())
+          patterns_for_inputs_m ~pool ?par_mode ?max_configs ?deadline ?max_live ?spill
+            ?base ~n ~inputs ())
     in
     Search.merge_into metrics m;
     result
@@ -219,15 +214,13 @@ module Make (P : Protocol.S) = struct
         | Error e -> failwith e)
       spec
 
-  (* [par_mode] defaults to [Layers], not [Async]: the documented
-     shortest-witness guarantee needs the layered driver's
-     deterministic frontier order, and realization is prune-heavy,
-     which the async driver pays for on every duplicate generation.
-     [Async] is still accepted for callers that only need *a*
-     witness. *)
-  let realize ?metrics ?(jobs = 1) ?par_threshold ?(par_mode = Search.Layers)
-      ?(max_configs = 1_000_000) ?deadline ?max_live ?spill ?checkpoint ~n ~inputs
-      ~target () =
+  (* Realization runs on the serial breadth-first driver: the
+     documented shortest-witness guarantee needs its first-generation
+     visiting order, and realization is prune-heavy, which the
+     work-stealing driver would pay for on every duplicate generation.
+     [jobs] is accepted for interface stability and ignored. *)
+  let realize ?metrics ?jobs:_ ?(max_configs = 1_000_000) ?deadline ?max_live ?spill
+      ?checkpoint ~n ~inputs ~target () =
     (* the accumulated pattern must be a prefix of the target: its
        triples a subset, and the orders in agreement *)
     let prefix_ok c =
@@ -237,10 +230,9 @@ module Make (P : Protocol.S) = struct
     let module R = struct
       (* A configuration plus the reversed event path that reached it;
          dedup ignores the path, exactly like the old recursive DFS.
-         [acts] memoizes [E.applicable]: the goal test needs it on the
-         owning domain (during the sequential layer scan) before the
-         expansion task does, so by the time a worker reads it the
-         lazy is already forced — no concurrent forcing. *)
+         [acts] memoizes [E.applicable], which both the goal test and
+         the expansion need; both run on the domain that visits the
+         state, so the lazy is never forced concurrently. *)
       type state = { c : E.config; path : Action.t list; acts : Action.t list Lazy.t }
 
       let make c path = { c; path; acts = lazy (E.applicable c) }
@@ -269,8 +261,8 @@ module Make (P : Protocol.S) = struct
        answer depends on; a structural digest keys them into the
        header *)
     let header =
-      checkpoint_header ~kind:"realize" ~max_configs:max_configs ?max_live ~par_mode
-        ?spill
+      checkpoint_header ~kind:"realize" ~max_configs:max_configs ?max_live
+        ~par_mode:Search.Layers ?spill
         ~extra:
           (Printf.sprintf "key=%s"
              (Digest.to_hex (Digest.string (Marshal.to_string (inputs, target) []))))
@@ -284,14 +276,8 @@ module Make (P : Protocol.S) = struct
     | None ->
       let root_config = E.init ~n ~inputs in
       let outcome, (), m =
-        Patterns_stdx.Domain_pool.with_pool ~jobs (fun pool ->
-            match par_mode with
-            | Search.Layers ->
-              K.run_par ~pool ?par_threshold ~budget:max_configs ?deadline ?max_live
-                ?spill ~is_goal ~prune ~expand ~root:(R.make root_config []) ()
-            | Search.Async ->
-              K.run_par_async ~pool ~budget:max_configs ?deadline ?max_live ?spill
-                ~is_goal ~prune ~expand ~root:(R.make root_config []) ())
+        K.run_serial ~strategy:K.Bfs ~budget:max_configs ?deadline ?max_live ?spill
+          ~is_goal ~prune ~expand ~root:(R.make root_config []) ()
       in
       let m = Metrics.with_intern_bindings (E.intern_bindings root_config) m in
       Search.merge_into metrics m;
@@ -314,14 +300,13 @@ module Make (P : Protocol.S) = struct
 
   (* Input vectors are part of every configuration, so no configuration
      is reachable from two different vectors: the roots partition the
-     state space.  Since PR 4 the parallelism is *intra*-root — the
-     layer-synchronous driver fans each root's frontier layers out
-     across the pool — so the outer loop over vectors stays on the
-     pool-owning domain (nested pool maps are not supported) and
-     merges payloads and metrics in vector order, bit-identical for
-     every [jobs]. *)
-  let scheme ?metrics ?max_configs ?deadline ?max_live ?(jobs = 1) ?par_threshold
-      ?par_mode ?spill ?checkpoint ~n () =
+     state space.  The parallelism is *intra*-root — the work-stealing
+     driver spreads each root's search across the pool — so the outer
+     loop over vectors stays on the pool-owning domain (nested pool
+     maps are not supported) and merges payloads and metrics in vector
+     order, bit-identical for every [jobs]. *)
+  let scheme ?metrics ?max_configs ?deadline ?max_live ?(jobs = 1) ?par_mode ?spill
+      ?checkpoint ~n () =
     (* [deadline] bounds the whole sweep, so each root receives the
        time remaining when its turn comes; a root starting past the
        deadline gets a zero allowance and truncates immediately *)
@@ -338,7 +323,7 @@ module Make (P : Protocol.S) = struct
                 | Some payload -> payload
                 | None ->
                   let ((_, _), m) as fresh =
-                    patterns_for_inputs_m ~pool ?par_threshold ?par_mode ?max_configs
+                    patterns_for_inputs_m ~pool ?par_mode ?max_configs
                       ?deadline:(remaining ()) ?max_live ?spill ~n ~inputs ()
                   in
                   (* deadline truncation is wall-clock-dependent;

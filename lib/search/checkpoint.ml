@@ -7,9 +7,11 @@
    sets, reports, cumulative hunt metrics.  The file is one plain-text
    header line
 
-     patterns-checkpoint/1 <client header>
+     patterns-checkpoint/2 <client header>
 
-   followed by a [Marshal] blob of the sorted (index, payload) list.
+   followed by the sorted (index, payload) list, sealed by
+   {!Patterns_stdx.Hex.seal_raw} (an MD5 digest, then the [Marshal]
+   blob).
    The client header encodes everything the payloads depend on
    (protocol, n, budgets, seeds, …); a resume against a file whose
    header differs is refused rather than silently mixing
@@ -17,11 +19,13 @@
    [Sys.rename], so a kill mid-write leaves the previous complete
    checkpoint, never a torn one.
 
-   [Marshal] blobs are only ever read back from files this module
-   wrote (the header line is checked first), the usual trust boundary
-   for OCaml snapshots. *)
+   The digest is checked before [Marshal.from_string] sees a byte, so a
+   corrupt or truncated payload is a clean error, not a crash of the
+   unmarshaller.  It guards against corruption, not a forger: blobs
+   are only ever read back from files this module wrote, the usual
+   trust boundary for OCaml snapshots. *)
 
-let schema = "patterns-checkpoint/1"
+let schema = "patterns-checkpoint/2"
 
 type spec = { file : string; resume : bool; kill_after : int option }
 
@@ -55,10 +59,10 @@ let load_entries ~file ~header =
             (Printf.sprintf "%s: checkpoint header mismatch\n  file:     %s\n  expected: %s"
                file line (header_line header))
         else
-          match (Marshal.from_channel ic : (int * 'a) list) with
-          | entries -> Ok entries
-          | exception (Failure _ | End_of_file) ->
-            Error (Printf.sprintf "%s: truncated or corrupt checkpoint payload" file))
+          let raw = really_input_string ic (in_channel_length ic - pos_in ic) in
+          match (Patterns_stdx.Hex.unseal_raw raw : (int * 'a) list option) with
+          | Some entries -> Ok entries
+          | None -> Error (Printf.sprintf "%s: truncated or corrupt checkpoint payload" file))
 
 let create spec ~header =
   let fresh_t entries =
@@ -82,7 +86,7 @@ let write_locked t =
     (fun () ->
       output_string oc (header_line t.header);
       output_char oc '\n';
-      Marshal.to_channel oc t.entries []);
+      output_string oc (Patterns_stdx.Hex.seal_raw t.entries));
   Sys.rename tmp t.spec.file
 
 let record t i v =

@@ -4,10 +4,11 @@
     vectors, hunt index chunks) merged in root order, so the state
     that makes a killed run resumable is the map from completed root
     index to that root's finished payload.  A checkpoint file is one
-    plain-text header line — [patterns-checkpoint/1] followed by a
+    plain-text header line — [patterns-checkpoint/2] followed by a
     client header string encoding everything the payloads depend on
-    (protocol, n, budgets, seeds, …) — and a [Marshal] blob of the
-    sorted (index, payload) entries.  Every {!record} atomically
+    (protocol, n, budgets, seeds, …) — then the MD5 digest of a
+    [Marshal] blob of the sorted (index, payload) entries, and the
+    blob.  Every {!record} atomically
     rewrites the file (temporary + rename), so a kill at any moment
     leaves the previous complete checkpoint, never a torn one.
 
@@ -19,7 +20,7 @@
     truncations are deterministic and recordable. *)
 
 val schema : string
-(** ["patterns-checkpoint/1"]. *)
+(** ["patterns-checkpoint/2"]. *)
 
 type spec = {
   file : string;
@@ -36,10 +37,12 @@ type spec = {
 type 'a t
 
 val create : spec -> header:string -> ('a t, string) result
-(** [Error] when resuming against a file that is not a checkpoint or
-    whose header line differs from [header] — incompatible payloads
-    are refused, not mixed.  The [Marshal] payload is only ever read
-    from files this module wrote (header checked first). *)
+(** [Error] when resuming against a file that is not a checkpoint,
+    whose header line differs from [header], or whose payload fails
+    its digest (corrupt or truncated) — incompatible or damaged
+    payloads are refused, not mixed, and the digest is checked before
+    anything is unmarshalled.  The payload is only ever read from
+    files this module wrote. *)
 
 val find : 'a t -> int -> 'a option
 (** The recorded payload of root [i], if a previous process (or this

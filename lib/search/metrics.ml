@@ -38,10 +38,7 @@ type t = {
   budget_consumed : int;
   roots : int;
   truncated_roots : int;
-  layers : int;
-  par_layers : int;
   shard_bits : int;
-  shard_occupancy_max : int;
   shard_occupancy_total : int;
   frontier_peak_sum : int;
   deadline_hits : int;
@@ -85,10 +82,7 @@ let zero =
     budget_consumed = 0;
     roots = 0;
     truncated_roots = 0;
-    layers = 0;
-    par_layers = 0;
     shard_bits = 0;
-    shard_occupancy_max = 0;
     shard_occupancy_total = 0;
     frontier_peak_sum = 0;
     deadline_hits = 0;
@@ -137,32 +131,12 @@ let of_shard outcome (s : shard) =
     shards = [ s ];
   }
 
-(* Retag a single-root metrics record with the layer-synchronous
-   driver's statistics.  Every field except [lock_contention] and
-   [expand_seconds] is deterministic: layer structure and shard
-   occupancy are functions of the reachable graph (and the constant
-   [shard_bits]), not of the worker count. *)
-let with_par ~layers ~par_layers ~shard_bits ~occupancy_max ~occupancy_total
-    ~lock_contention ~expand_seconds m =
-  {
-    m with
-    layers;
-    par_layers;
-    shard_bits;
-    shard_occupancy_max = occupancy_max;
-    shard_occupancy_total = occupancy_total;
-    lock_contention;
-    expand_seconds;
-  }
-
 (* Retag a single-root metrics record with the asynchronous driver's
    statistics.  [shard_bits] is the table's presized capacity log2 (a
    create-time constant) and [occupancy_total] the final binding count
    — both deterministic; the work-stealing and CAS counters plus the
    load factor and idle time are volatile, schedule-dependent
-   quantities and live in the schema's /5 section.  The layered
-   fields (layers, par_layers, shard_occupancy_max) stay 0: there are
-   no layers and no shards to report. *)
+   quantities and live in the schema's /5 section. *)
 let with_async ~shard_bits ~occupancy_total ~lock_contention ~expand_seconds ~steals
     ~steal_failures ~cas_retries ~table_occupancy ~idle_seconds m =
   {
@@ -193,8 +167,8 @@ let with_db ~edges ~index_scans ~cache_hits ~cache_misses m =
   }
 
 (* Retag a metrics record with a spill-store snapshot.  All six
-   counters are deterministic under the serial and layer-synchronous
-   drivers (eviction happens at schedule-independent points there) and
+   counters are deterministic under the serial driver (eviction
+   happens at schedule-independent points there) and
    schedule-dependent under the asynchronous driver at jobs > 1 — the
    same caveat as [intern_bindings], and gated the same way by the
    bench --check harness.  All six are 0 unless a --spill-dir was
@@ -264,10 +238,7 @@ let merge a b =
     budget_consumed = a.budget_consumed + b.budget_consumed;
     roots = a.roots + b.roots;
     truncated_roots = a.truncated_roots + b.truncated_roots;
-    layers = a.layers + b.layers;
-    par_layers = a.par_layers + b.par_layers;
     shard_bits = max a.shard_bits b.shard_bits;
-    shard_occupancy_max = max a.shard_occupancy_max b.shard_occupancy_max;
     shard_occupancy_total = a.shard_occupancy_total + b.shard_occupancy_total;
     frontier_peak_sum = a.frontier_peak_sum + b.frontier_peak_sum;
     deadline_hits = a.deadline_hits + b.deadline_hits;
@@ -301,12 +272,13 @@ let merge a b =
 (* Hand-rolled rendering, like the bench harness: no JSON dependency.
    Key order is part of the schema and pinned by the cram test.
    Schema /2 appended the fingerprint-store counters after "pruned";
-   schema /3 appended the layer-synchronous driver fields after
+   schema /3 appended the parallel driver fields after
    "truncated_roots"; schema /4 appends the graceful-degradation
    counters "deadline_hits" and "live_limit_hits" after
    "frontier_peak_sum"; schema /5 appends the asynchronous driver's
    volatile section — "steals", "steal_failures", "cas_retries",
-   "table_occupancy", "idle_seconds" — after "parallel_efficiency";
+   "table_occupancy", "idle_seconds" — after "expand_seconds" (/11
+   removed the derived field that stood between them);
    schema /6 appends the execution-database counters "db_edges",
    "db_index_scans", "db_cache_hits", "db_cache_misses" (deterministic,
    all 0 unless a --db was attached) after "idle_seconds";
@@ -328,25 +300,20 @@ let merge a b =
    fail-stop) after "delta_reused_edges";
    schema /10 removes the widening-seed counter together with the
    semi-naive widening rung that fed it;
+   schema /11 removes the layer-synchronous driver's "layers",
+   "par_layers" and "shard_occupancy_max" with that driver, and the
+   derived efficiency ratio (busy time over wall time, which summed
+   busy time across workers instead of measuring speedup);
    every other field is unchanged in name, meaning and order.
-   "lock_contention", "expand_seconds", "parallel_efficiency" and the
+   "lock_contention", "expand_seconds" and the
    whole /5 section are the nondeterministic top-level fields
    (normalized away by the cram test, never compared by the bench
    --check gate); "deadline_hits" is deterministically 0 when no
    deadline was set, and wall-clock-dependent when one was. *)
-let wall_seconds m = List.fold_left (fun acc (s : shard) -> acc +. s.seconds) 0. m.shards
-
-(* expand-time over wall-time: the fraction of the run spent inside
-   successor expansion, summed across workers — values above 1 mean
-   expansion actually overlapped across domains. *)
-let parallel_efficiency m =
-  let wall = wall_seconds m in
-  if wall > 0. then m.expand_seconds /. wall else 0.
-
 let to_json ?(shards = true) m =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"patterns-search-metrics/10\",\n";
+  Buffer.add_string b "  \"schema\": \"patterns-search-metrics/11\",\n";
   Buffer.add_string b (Printf.sprintf "  \"outcome\": \"%s\",\n" (outcome_string m.outcome));
   Buffer.add_string b (Printf.sprintf "  \"states_expanded\": %d,\n" m.states_expanded);
   Buffer.add_string b (Printf.sprintf "  \"dedup_hits\": %d,\n" m.dedup_hits);
@@ -360,11 +327,7 @@ let to_json ?(shards = true) m =
   Buffer.add_string b (Printf.sprintf "  \"budget_consumed\": %d,\n" m.budget_consumed);
   Buffer.add_string b (Printf.sprintf "  \"roots\": %d,\n" m.roots);
   Buffer.add_string b (Printf.sprintf "  \"truncated_roots\": %d,\n" m.truncated_roots);
-  Buffer.add_string b (Printf.sprintf "  \"layers\": %d,\n" m.layers);
-  Buffer.add_string b (Printf.sprintf "  \"par_layers\": %d,\n" m.par_layers);
   Buffer.add_string b (Printf.sprintf "  \"shard_bits\": %d,\n" m.shard_bits);
-  Buffer.add_string b
-    (Printf.sprintf "  \"shard_occupancy_max\": %d,\n" m.shard_occupancy_max);
   Buffer.add_string b
     (Printf.sprintf "  \"shard_occupancy_total\": %d,\n" m.shard_occupancy_total);
   Buffer.add_string b (Printf.sprintf "  \"frontier_peak_sum\": %d,\n" m.frontier_peak_sum);
@@ -372,8 +335,6 @@ let to_json ?(shards = true) m =
   Buffer.add_string b (Printf.sprintf "  \"live_limit_hits\": %d,\n" m.live_limit_hits);
   Buffer.add_string b (Printf.sprintf "  \"lock_contention\": %d,\n" m.lock_contention);
   Buffer.add_string b (Printf.sprintf "  \"expand_seconds\": %.6f,\n" m.expand_seconds);
-  Buffer.add_string b
-    (Printf.sprintf "  \"parallel_efficiency\": %.3f,\n" (parallel_efficiency m));
   Buffer.add_string b (Printf.sprintf "  \"steals\": %d,\n" m.steals);
   Buffer.add_string b (Printf.sprintf "  \"steal_failures\": %d,\n" m.steal_failures);
   Buffer.add_string b (Printf.sprintf "  \"cas_retries\": %d,\n" m.cas_retries);

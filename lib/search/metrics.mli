@@ -46,19 +46,13 @@ type t = {
   budget_consumed : int;  (** total budget units spent = states expanded *)
   roots : int;
   truncated_roots : int;
-  layers : int;  (** BFS layers completed by the layer-synchronous driver *)
-  par_layers : int;
-      (** layers whose frontier met the parallel-dispatch threshold —
-          counted whether or not more than one worker existed, so the
-          value is identical for every [--jobs] *)
   shard_bits : int;
-      (** log2 of the visited-store shard count (0 for the serial
+      (** log2 of the async driver's presized visited-table capacity,
+          or of the spill store's shard count (0 for the serial
           driver); maxed on merge *)
-  shard_occupancy_max : int;
-      (** largest per-shard binding count in any sharded store; maxed
-          on merge *)
   shard_occupancy_total : int;
-      (** total bindings across all shards of all sharded stores *)
+      (** total bindings in the async driver's visited stores (0 for
+          the serial driver) *)
   frontier_peak_sum : int;
       (** sum of per-root frontier peaks — the aggregate companion to
           [frontier_peak], which reports the max-of-peaks (summing
@@ -72,15 +66,17 @@ type t = {
       (** searches stopped by the live-state budget
           ({!Search.Live_limit_exceeded}); deterministic *)
   lock_contention : int;
-      (** shard-mutex acquisitions that found the lock held —
+      (** visited-store mutex acquisitions that found the lock held
+          (the async driver's collision fallback or spill store) —
           nondeterministic under [jobs > 1], never compared across
           runs *)
   expand_seconds : float;
-      (** wall-clock summed over expansion tasks across workers
-          (nondeterministic) *)
+      (** wall-clock the async driver's workers spent outside the
+          steal loop, summed across workers (0 for the serial driver;
+          nondeterministic) *)
   steals : int;
       (** work items taken from another worker's deque by the
-          asynchronous driver — 0 under [--jobs 1] or the layered
+          asynchronous driver — 0 under [--jobs 1] or the serial
           driver, schedule-dependent otherwise (/5 volatile section) *)
   steal_failures : int;
       (** steal attempts that found a victim empty or lost the race —
@@ -164,20 +160,6 @@ val with_intern_bindings : int -> t -> t
     The kernel cannot see the client's intern tables, so per-root
     metrics are retagged with the root's table size after the run. *)
 
-val with_par :
-  layers:int ->
-  par_layers:int ->
-  shard_bits:int ->
-  occupancy_max:int ->
-  occupancy_total:int ->
-  lock_contention:int ->
-  expand_seconds:float ->
-  t ->
-  t
-(** Retag a single-root record with the layer-synchronous driver's
-    statistics.  All but [lock_contention] and [expand_seconds] are
-    deterministic functions of the reachable graph. *)
-
 val with_async :
   shard_bits:int ->
   occupancy_total:int ->
@@ -194,8 +176,7 @@ val with_async :
     statistics.  [shard_bits] is the visited table's presized capacity
     log2 (a create-time constant) and [occupancy_total] its final
     binding count — deterministic; the rest is the /5 volatile
-    section.  [layers], [par_layers] and [shard_occupancy_max] stay 0:
-    the async driver has no layers and no mutex shards. *)
+    section. *)
 
 val with_db :
   edges:int -> index_scans:int -> cache_hits:int -> cache_misses:int -> t -> t
@@ -213,10 +194,10 @@ val with_spill :
   t ->
   t
 (** Retag a record with a spill-store snapshot (the /7 section plus
-    /8's [spill_fd_reopens]).  Deterministic under the serial and
-    layer-synchronous drivers; schedule-dependent under the async
-    driver at [jobs > 1] (like [intern_bindings]).  All 0 unless a
-    [--spill-dir] was given. *)
+    /8's [spill_fd_reopens]).  Deterministic under the serial
+    driver; schedule-dependent under the async driver at [jobs > 1]
+    (like [intern_bindings]).  All 0 unless a [--spill-dir] was
+    given. *)
 
 val with_incremental :
   ?prefix_hits:int ->
@@ -237,12 +218,6 @@ val with_faults :
     sweeps — functions of the evaluated plan-index set — with the same
     goal-found overshoot caveat as [prefix_hits]. *)
 
-val parallel_efficiency : t -> float
-(** [expand_seconds] over summed shard wall-clock: the fraction of the
-    run spent inside successor expansion, summed across workers.
-    Values above 1 mean expansion overlapped across domains.
-    Nondeterministic. *)
-
 val merge : t -> t -> t
 (** Counters are summed, [frontier_peak] maxed, outcomes joined
     ([Goal_found] > [Truncated] > [Exhausted]), shard lists
@@ -250,13 +225,13 @@ val merge : t -> t -> t
     the sharding driver. *)
 
 val to_json : ?shards:bool -> t -> string
-(** Schema ["patterns-search-metrics/10"]: every surviving /1 … /9
+(** Schema ["patterns-search-metrics/11"]: every surviving /1 … /10
     key is unchanged in name, meaning and order; /4 appended the
     graceful-degradation counters ["deadline_hits"] and
     ["live_limit_hits"] after ["frontier_peak_sum"]; /5 appended the
     asynchronous driver's volatile section — ["steals"],
     ["steal_failures"], ["cas_retries"], ["table_occupancy"],
-    ["idle_seconds"] — after ["parallel_efficiency"]; /6 appended the
+    ["idle_seconds"] — after ["expand_seconds"]; /6 appended the
     deterministic execution-database counters — ["db_edges"],
     ["db_index_scans"], ["db_cache_hits"], ["db_cache_misses"] — after
     ["idle_seconds"] (all 0 unless a [--db] is attached); /7 appended
@@ -271,7 +246,11 @@ val to_json : ?shards:bool -> t -> string
     ["drops_injected"], ["omission_plans"], ["mobile_faults"] — after
     ["delta_reused_edges"] (all 0 unless a hunt widened the adversary
     past fail-stop); /10 removes the widening-seed counter with the
-    semi-naive widening rung that fed it.
+    semi-naive widening rung that fed it; /11 removes the
+    layer-synchronous driver's ["layers"], ["par_layers"] and
+    ["shard_occupancy_max"] with that driver, and the derived
+    efficiency ratio (busy time over wall time), which summed busy
+    time across workers instead of measuring speedup.
     Key order is stable and pinned by the cram test; [?shards:false]
     omits the per-shard array (whose [seconds] are
     nondeterministic). *)

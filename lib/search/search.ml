@@ -37,14 +37,13 @@ let merge_into sink m = Option.iter (fun r -> r := Metrics.merge !r m) sink
 
 let now () = Unix.gettimeofday ()
 
-(* Which parallel driver a client sweep runs on.  [Layers] is the
-   layer-synchronous barrier driver — bit-identical to the serial
-   reference in every respect, including truncation points.  [Async]
-   is the work-stealing driver over the lock-free fingerprint table —
-   same outcomes, pattern sets and deterministic counters on searches
-   it runs to exhaustion, but truncation points and goal witnesses are
-   schedule-dependent.  The flag exists so a suspected async
-   regression is one [--par-mode layers] away from bisectable. *)
+(* Which driver a client sweep runs on.  [Layers] is the serial
+   breadth-first reference: one domain, [jobs] ignored, every result
+   and counter a function of the root alone, shortest goal witnesses.
+   [Async] is the work-stealing pool over the lock-free fingerprint
+   table, sized by [jobs] — same outcomes, pattern sets and
+   deterministic counters on searches it runs to exhaustion, but
+   truncation points and goal witnesses are schedule-dependent. *)
 type par_mode = Layers | Async
 
 let par_mode_string = function Layers -> "layers" | Async -> "async"
@@ -129,13 +128,11 @@ end
 module Make (P : Problem) = struct
   type strategy = Bfs | Dfs
 
-  (* Observation interface for the layer-synchronous parallel driver.
-     Each expansion task works against a fresh accumulator from
-     [empty]; task accumulators are merged left-to-right in frontier
-     order, so for an associative [merge] the folded observation is
-     independent of how the layer was chunked — and the chunking
-     itself is a function of the layer size only, never of the worker
-     count. *)
+  (* Observation interface shared by both drivers.  The serial
+     driver folds every expansion into one accumulator from [empty];
+     the work-stealing driver gives each worker its own and merges
+     them in worker-index order, so for a commutative, associative
+     [merge] the folded observation is the same either way. *)
   type 'obs par_expand = {
     empty : unit -> 'obs;
     merge : 'obs -> 'obs -> 'obs;
@@ -221,9 +218,10 @@ module Make (P : Problem) = struct
             m);
       }
 
-  let run ?(strategy = Dfs) ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune
-      ?edges ~root () =
+  let run_serial ?(strategy = Dfs) ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal
+      ?prune ?edges ~expand:obs_iface ~root () =
     let visited = serial_store spill in
+    let obs = obs_iface.empty () in
     let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
     let size = ref 0 and peak = ref 0 in
     let push_batch, pop =
@@ -306,7 +304,7 @@ module Make (P : Problem) = struct
               incr expanded;
               if goal s then Goal_found s
               else begin
-                let succs = P.expand s in
+                let succs = obs_iface.expand obs s in
                 emit_edges edges s succs;
                 push_batch (List.filter keep succs);
                 loop ()
@@ -330,272 +328,19 @@ module Make (P : Problem) = struct
       }
     in
     ( outcome,
+      obs,
       visited.sv_finish
         (with_degradation outcome (Metrics.of_shard (outcome_kind outcome) shard)) )
 
-  (* ----- level-synchronous parallel BFS ----- *)
-
-  let default_par_threshold = 128
-
-  (* Chunk size is a function of the layer size alone — never of the
-     worker count — so accumulator boundaries (and hence the merge
-     tree) are reproducible for every [--jobs].  ~64 chunks per large
-     layer keeps the pool's work units coarse. *)
-  let chunk_frontier states len =
-    let size = max 16 ((len + 63) / 64) in
-    let rec go acc cur n = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | s :: tl ->
-        if n = size then go (List.rev cur :: acc) [ s ] 1 tl
-        else go acc (s :: cur) (n + 1) tl
+  let run ?strategy ?budget ?deadline ?max_live ?spill ?is_goal ?prune ?edges ~root () =
+    let expand =
+      { empty = ignore; merge = (fun () () -> ()); expand = (fun () s -> P.expand s) }
     in
-    go [] [] 0 states
-
-  (* The layered driver's visited interface.  [lv_layer_end] is the
-     spill store's deterministic eviction point (between layers, after
-     phase B — a function of the reachable graph's layer structure,
-     never of the worker count); [lv_live] feeds the [max_live] guard. *)
-  type layer_store = {
-    lv_mem : P.state -> bool;
-    lv_add_if_absent : P.state -> bool;
-    lv_shard_of_state : P.state -> int;
-    lv_nshards : int;
-    lv_shard_bits : int;
-    lv_live : unit -> int;
-    lv_bindings : unit -> int;
-    lv_probes : unit -> int;
-    lv_collision_fallbacks : unit -> int;
-    lv_lock_contention : unit -> int;
-    lv_occupancy_max : unit -> int;
-    lv_layer_end : unit -> unit;
-    lv_finish : Metrics.t -> Metrics.t;
-  }
-
-  let layer_store ?shard_bits spill =
-    let equal a b = P.compare a b = 0 in
-    match spill with
-    | None ->
-      let visited = Sharded_store.create ?shard_bits ~equal ~fingerprint:P.fingerprint () in
-      {
-        lv_mem = (fun s -> Sharded_store.mem visited s);
-        lv_add_if_absent = (fun s -> Sharded_store.add_if_absent visited s);
-        lv_shard_of_state = (fun s -> Sharded_store.shard_of_state visited s);
-        lv_nshards = Sharded_store.shards visited;
-        lv_shard_bits = Sharded_store.shard_bits visited;
-        lv_live = (fun () -> Sharded_store.bindings visited);
-        lv_bindings = (fun () -> Sharded_store.bindings visited);
-        lv_probes = (fun () -> Sharded_store.probes visited);
-        lv_collision_fallbacks = (fun () -> Sharded_store.collision_fallbacks visited);
-        lv_lock_contention = (fun () -> Sharded_store.lock_contention visited);
-        lv_occupancy_max = (fun () -> Sharded_store.occupancy_max visited);
-        lv_layer_end = ignore;
-        lv_finish = Fun.id;
-      }
-    | Some { dir; mem_budget } ->
-      let visited =
-        Spill_store.create ?shard_bits ~equal ~fingerprint:P.fingerprint ~dir ~mem_budget ()
-      in
-      {
-        lv_mem = (fun s -> Spill_store.mem visited s);
-        lv_add_if_absent = (fun s -> Spill_store.add_if_absent visited s);
-        lv_shard_of_state = (fun s -> Spill_store.shard_of_state visited s);
-        lv_nshards = Spill_store.shards visited;
-        lv_shard_bits = Spill_store.shard_bits visited;
-        lv_live = (fun () -> Spill_store.resident visited);
-        lv_bindings = (fun () -> Spill_store.bindings visited);
-        lv_probes = (fun () -> Spill_store.probes visited);
-        lv_collision_fallbacks = (fun () -> Spill_store.collision_fallbacks visited);
-        lv_lock_contention = (fun () -> Spill_store.lock_contention visited);
-        lv_occupancy_max = (fun () -> Spill_store.occupancy_max visited);
-        lv_layer_end = (fun () -> Spill_store.maybe_evict visited);
-        lv_finish =
-          (fun m ->
-            let m =
-              Metrics.with_spill
-                ~runs:(Spill_store.spill_runs visited)
-                ~evictions:(Spill_store.spill_evictions visited)
-                ~probes:(Spill_store.spill_probes visited)
-                ~read_bytes:(Spill_store.spill_read_bytes visited)
-                ~write_bytes:(Spill_store.spill_write_bytes visited)
-                ~fd_reopens:(Spill_store.spill_fd_reopens visited)
-                m
-            in
-            Spill_store.dispose visited;
-            m);
-      }
-
-  let run_par ?pool ?(par_threshold = default_par_threshold) ?shard_bits
-      ?(budget = max_int) ?deadline ?max_live ?spill ?is_goal ?prune ?edges
-      ~expand:obs_iface ~root () =
-    let visited = layer_store ?shard_bits spill in
-    let expanded = ref 0 and dedup = ref 0 and pruned = ref 0 in
-    let peak = ref 0 and layers = ref 0 and par_layers = ref 0 in
-    let expand_seconds = ref 0. in
-    let goal = match is_goal with Some g -> g | None -> fun _ -> false in
-    let nshards = visited.lv_nshards in
-    (* Work is dispatched through the pool only for layers that met
-       the threshold; the tasks themselves are identical either way,
-       so the threshold (like the worker count) cannot change any
-       result — only where the work runs. *)
-    let map_tasks par f tasks =
-      match pool with
-      | Some p when par && Domain_pool.jobs p > 1 -> Domain_pool.map p f tasks
-      | _ -> List.map f tasks
+    let outcome, (), m =
+      run_serial ?strategy ?budget ?deadline ?max_live ?spill ?is_goal ?prune ?edges ~expand
+        ~root ()
     in
-    let obs = ref (obs_iface.empty ()) in
-    let t0 = Unix.gettimeofday () in
-    (* overrun guards, checked once per layer before the layer is
-       charged: overshoot is bounded by one layer, and the live-state
-       check sees the store plus the whole pending frontier *)
-    let over_run len =
-      match max_live with
-      | Some limit when visited.lv_live () + len > limit ->
-        Some (Truncated (Live_limit_exceeded { limit; live = visited.lv_live () + len }))
-      | _ -> (
-        match deadline with
-        | None -> None
-        | Some d ->
-          let elapsed = Unix.gettimeofday () -. t0 in
-          if elapsed >= d then
-            Some (Truncated (Deadline_exceeded { deadline = d; elapsed }))
-          else None)
-    in
-    ignore (visited.lv_add_if_absent root : bool);
-    let rec loop frontier =
-      match frontier with
-      | [] -> Exhausted
-      | _ ->
-        let len = List.length frontier in
-        match over_run len with
-        | Some t -> t
-        | None ->
-        incr layers;
-        if len > !peak then peak := len;
-        let par = len >= par_threshold in
-        if par then incr par_layers;
-        (* budget and goal are charged in frontier order before any
-           expansion, so a mid-layer stop is deterministic *)
-        let rec charge = function
-          | [] -> None
-          | s :: tl ->
-            if !expanded >= budget then
-              Some (Truncated (Budget_exhausted { budget; consumed = !expanded }))
-            else begin
-              incr expanded;
-              if goal s then Some (Goal_found s) else charge tl
-            end
-        in
-        (match charge frontier with
-        | Some outcome -> outcome
-        | None ->
-          (* phase A: expand chunks in parallel against the store,
-             which no task mutates — probes are read-only *)
-          let results =
-            map_tasks par
-              (fun chunk ->
-                let t0 = Unix.gettimeofday () in
-                let o = obs_iface.empty () in
-                let dd = ref 0 and pr = ref 0 in
-                let keep s =
-                  if visited.lv_mem s then begin
-                    incr dd;
-                    false
-                  end
-                  else
-                    match prune with
-                    | Some p when p s ->
-                      incr pr;
-                      false
-                    | _ -> true
-                in
-                let succs =
-                  List.concat_map
-                    (fun s ->
-                      let succs = obs_iface.expand o s in
-                      emit_edges edges s succs;
-                      List.filter keep succs)
-                    chunk
-                in
-                (o, succs, !dd, !pr, Unix.gettimeofday () -. t0))
-              (chunk_frontier frontier len)
-          in
-          (* merge in chunk order = frontier order *)
-          let candidates =
-            List.concat_map
-              (fun (o, succs, dd, pr, secs) ->
-                obs := obs_iface.merge !obs o;
-                dedup := !dedup + dd;
-                pruned := !pruned + pr;
-                expand_seconds := !expand_seconds +. secs;
-                succs)
-              results
-          in
-          (* phase B: partition candidates by shard, keeping frontier
-             order within each shard; one insertion task per shard, so
-             every shard sees a canonical insertion order and the
-             per-shard locks never collide with each other *)
-          let by_shard = Array.make nshards [] in
-          List.iter
-            (fun s ->
-              let i = visited.lv_shard_of_state s in
-              by_shard.(i) <- s :: by_shard.(i))
-            candidates;
-          let fresh =
-            map_tasks par
-              (fun cands ->
-                let dups = ref 0 in
-                let kept =
-                  List.filter
-                    (fun c ->
-                      if visited.lv_add_if_absent c then true
-                      else begin
-                        incr dups;
-                        false
-                      end)
-                    cands
-                in
-                (kept, !dups))
-              (List.init nshards (fun i -> List.rev by_shard.(i)))
-          in
-          (* next frontier: concatenation in (shard-index, insertion)
-             order — the canonical layer order *)
-          let next =
-            List.concat_map
-              (fun (kept, dups) ->
-                dedup := !dedup + dups;
-                kept)
-              fresh
-          in
-          (* the between-layer eviction point: schedule-independent,
-             so spilling cannot move a truncation or change a count *)
-          visited.lv_layer_end ();
-          loop next)
-    in
-    let outcome = loop [ root ] in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let shard =
-      {
-        Metrics.root = 0;
-        states_expanded = !expanded;
-        dedup_hits = !dedup;
-        frontier_peak = !peak;
-        pruned = !pruned;
-        fingerprint_probes = visited.lv_probes ();
-        collision_fallbacks = visited.lv_collision_fallbacks ();
-        intern_bindings = 0;
-        seconds;
-      }
-    in
-    let m =
-      Metrics.of_shard (outcome_kind outcome) shard
-      |> Metrics.with_par ~layers:!layers ~par_layers:!par_layers
-           ~shard_bits:visited.lv_shard_bits
-           ~occupancy_max:(visited.lv_occupancy_max ())
-           ~occupancy_total:(visited.lv_bindings ())
-           ~lock_contention:(visited.lv_lock_contention ())
-           ~expand_seconds:!expand_seconds
-    in
-    (outcome, !obs, visited.lv_finish (with_degradation outcome m))
+    (outcome, m)
 
   (* ----- asynchronous work-stealing driver ----- *)
 
@@ -624,8 +369,8 @@ module Make (P : Problem) = struct
      first.  The counts still agree — a prunable state is never
      claimed, so its membership test is always false — but [prune]
      must be pure, and prune-heavy goal searches (realization) should
-     prefer the layered driver, which also keeps the serial driver's
-     shortest-witness guarantee.  Budget exhaustion is not a halt:
+     prefer the serial breadth-first driver, which also guarantees
+     shortest witnesses.  Budget exhaustion is not a halt:
      workers keep draining their deques, dropping every state whose
      budget ticket is out of range, so exactly [budget] tickets are
      consumed and [states_expanded] is deterministic even for a
@@ -679,7 +424,7 @@ module Make (P : Problem) = struct
         av_lock_contention = (fun () -> Spill_store.lock_contention visited);
         av_cas_retries = (fun () -> 0);
         av_occupancy = (fun () -> 0.);
-        av_bits = Spill_store.shard_bits visited;
+        av_bits = Spill_store.shard_bits;
         av_tick = (fun () -> Spill_store.maybe_evict visited);
         av_finish =
           (fun m ->
@@ -859,21 +604,17 @@ module Make (P : Problem) = struct
            ~table_occupancy:(table.av_occupancy ()) ~idle_seconds:(fsum idle)
     in
     (outcome, obs, table.av_finish (with_degradation outcome m))
+
+  let run_driver ~par_mode ?pool ?budget ?deadline ?max_live ?spill ?is_goal ?prune ?edges
+      ~expand ~root () =
+    match par_mode with
+    | Layers ->
+      run_serial ~strategy:Bfs ?budget ?deadline ?max_live ?spill ?is_goal ?prune ?edges
+        ~expand ~root ()
+    | Async ->
+      run_par_async ?pool ?budget ?deadline ?max_live ?spill ?is_goal ?prune ?edges ~expand
+        ~root ()
 end
-
-(* ----- deterministic sharding per root ----- *)
-
-let shard ~jobs ~f ~merge ~init roots =
-  Domain_pool.with_pool ~jobs (fun pool ->
-      let results = Domain_pool.map pool f roots in
-      let (acc, metrics), _ =
-        List.fold_left
-          (fun ((acc, ms), i) (a, m) ->
-            ((merge acc a, Metrics.merge ms (Metrics.with_root_index i m)), i + 1))
-          ((init, Metrics.zero), 0)
-          results
-      in
-      (acc, metrics))
 
 (* ----- strided goal search over an index space ----- *)
 

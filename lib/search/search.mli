@@ -11,12 +11,15 @@
     a private reimplementation of how executions were enumerated or
     truncated.
 
-    Determinism: for a fixed strategy, problem and budget, the
-    visitation order — and hence every counter except the wall-clock
-    [seconds] — is a pure function of the root.  The sharding driver
-    {!shard} merges per-root results in root order on a
-    {!Patterns_stdx.Domain_pool}, so sharded sweeps are bit-identical
-    for every [jobs] value. *)
+    Two drivers run every search: the serial reference
+    ({!Make.run_serial}, depth- or breadth-first) and one parallel
+    driver, the work-stealing pool ({!Make.run_par_async}).  For a
+    fixed strategy, problem and budget the serial visitation order —
+    and hence every counter except the wall-clock [seconds] — is a
+    pure function of the root; the pool matches it on every search it
+    runs to exhaustion.  Sweeps over several roots merge per-root
+    results in root order, so they are bit-identical for every [jobs]
+    value. *)
 
 (** Why a search stopped short of exhausting its space.  All three are
     graceful: the search returns its metrics and a [Truncated] outcome
@@ -54,16 +57,20 @@ val now : unit -> float
 (** [Unix.gettimeofday], re-exported so deadline-aware callers can
     compute remaining time without their own [unix] dependency. *)
 
-(** Which parallel driver a client sweep runs on.  [Layers] is the
-    layer-synchronous barrier driver ({!Make.run_par}) — bit-identical
-    to the serial reference in every respect, including truncation
-    points and goal witnesses.  [Async] is the work-stealing driver
-    over the lock-free fingerprint table ({!Make.run_par_async}) —
-    same outcomes, observations and deterministic counters on searches
-    it runs to exhaustion, but truncation sets and goal witnesses are
-    schedule-dependent.  Clients default to [Async]; the flag exists
-    so a suspected async regression is one [--par-mode layers] away
-    from bisectable. *)
+(** Which driver a client sweep runs on.  [Layers] is the serial
+    breadth-first reference ({!Make.run_serial} with [Bfs]): it runs on
+    the calling domain and ignores [jobs], its truncation points are
+    deterministic and its goal witnesses shortest.  [Async] is the
+    work-stealing pool over the lock-free fingerprint table
+    ({!Make.run_par_async}), sized by [jobs] — same outcomes,
+    observations and deterministic counters on searches it runs to
+    exhaustion, but truncation sets and goal witnesses are
+    schedule-dependent.  Sweeps default to [Async]; realization always
+    runs [Layers].  The breadth-first frontier tests membership only
+    when a state is popped, so it holds every duplicate generation
+    until then, and the [max_live] guard counts those entries: a
+    [Layers] search given [max_live] can stop earlier than one whose
+    frontier is deduplicated layer by layer. *)
 type par_mode = Layers | Async
 
 val par_mode_string : par_mode -> string
@@ -75,9 +82,9 @@ val par_mode_string : par_mode -> string
     runs probed by fingerprint.  Probe counting, cumulative binding
     counts and the insertion discipline are identical to the in-memory
     stores, and eviction happens only at deterministic driver-chosen
-    points (serial: per insert; layers: between layers; async: per
-    processed state), so outcomes, observations and the /1–/6 metrics
-    fields are bit-identical with or without spilling — the /7 spill
+    points (serial: per insert; async: per processed state), so
+    outcomes, observations and the /1–/6 metrics fields are
+    bit-identical with or without spilling — the /7 spill
     counters themselves are deterministic except under the async
     driver at [jobs > 1].  One semantic shift: the [max_live] guard
     counts {e resident} bindings plus frontier rather than cumulative
@@ -180,37 +187,29 @@ module Make (P : Problem) : sig
       visited set is a {!Store} keyed on [P.fingerprint]; its probe
       and collision counters are reported in the metrics.
 
-      [edges] is the optional execution-database sink, shared by all
-      three drivers: each expansion of [src] invokes it once per
+      [edges] is the optional execution-database sink, shared by both
+      drivers: each expansion of [src] invokes it once per
       successor — before visited/prune filtering, so the database
       records the raw expansion relation — with [event] the
       successor's ordinal in [expand]'s return list (deterministic for
-      a deterministic [expand]).  The parallel drivers invoke it from
-      worker domains concurrently; thread safety is the callee's
+      a deterministic [expand]).  The work-stealing driver invokes it
+      from worker domains concurrently; thread safety is the callee's
       obligation. *)
 
-  (** Observation interface for {!run_par}.  Each expansion task works
-      against a fresh accumulator from [empty]; task accumulators are
-      merged left-to-right in frontier order.  [merge] must be
-      associative — then the folded observation equals the sequential
-      fold over the layer in frontier order, independent of how the
-      layer was chunked (and the chunking itself is a function of the
-      layer size only, never of the worker count). *)
+  (** Observation interface shared by {!run_serial} and
+      {!run_par_async}: [expand] folds one visited state into an
+      accumulator from [empty] and returns its successors.  The serial
+      driver uses a single accumulator, so its observation is the
+      sequential fold in visitation order; the work-stealing driver
+      keeps one per worker and merges them in worker-index order. *)
   type 'obs par_expand = {
     empty : unit -> 'obs;
     merge : 'obs -> 'obs -> 'obs;
     expand : 'obs -> P.state -> P.state list;
   }
 
-  val default_par_threshold : int
-  (** 128 — layers smaller than this run inline on the calling domain;
-      at or above it, chunks are dispatched to the pool.  Either path
-      performs the identical work in the identical order. *)
-
-  val run_par :
-    ?pool:Patterns_stdx.Domain_pool.t ->
-    ?par_threshold:int ->
-    ?shard_bits:int ->
+  val run_serial :
+    ?strategy:strategy ->
     ?budget:int ->
     ?deadline:float ->
     ?max_live:int ->
@@ -222,27 +221,13 @@ module Make (P : Problem) : sig
     root:P.state ->
     unit ->
     P.state outcome * 'obs * Metrics.t
-  (** Level-synchronous parallel BFS.  Each frontier layer is charged
-      against the budget and scanned for goals sequentially in frontier
-      order (so mid-layer stops are deterministic), then expanded in
-      chunks — in parallel across [pool] when the layer size reaches
-      [par_threshold] — against the {!Patterns_stdx.Sharded_store}
-      visited set, which no expansion task mutates.  Surviving
-      successors are partitioned by shard and inserted by one task per
-      shard, each in frontier order; the next frontier is their
-      concatenation in (shard-index, insertion) order.  Every result,
-      observation and deterministic counter is therefore bit-identical
-      for every pool size, threshold and dispatch path.  Calling from
-      the pool-owning domain is required (the pool forbids nested
-      [map]s).  Counter semantics match {!run}: [states_expanded]
-      counts budget-charged states, [dedup_hits] counts
-      visited/duplicate suppressions (probe-time and insert-time),
-      [pruned] counts prune rejections; [fingerprint_probes] counts
-      one probe per successor filter and one per insertion attempt.
-      [deadline] and [max_live] are checked once per layer before the
-      layer is charged, so overshoot past either guard is bounded by
-      one layer; [max_live] truncation is deterministic and
-      jobs-invariant. *)
+  (** {!run} with the expansion supplied as an observation record
+      instead of [P.expand]: same frontier, visited store, guards and
+      counters, plus the folded observation.  [run] is this driver
+      with [expand = P.expand] and a unit accumulator.  Under [Bfs],
+      states are visited in order of first generation, so the first
+      goal found is at minimal depth — the shortest-witness guarantee
+      [Layers] clients rely on. *)
 
   val run_par_async :
     ?pool:Patterns_stdx.Domain_pool.t ->
@@ -281,7 +266,7 @@ module Make (P : Problem) : sig
       high-water mark of claimed-but-unprocessed states across all
       deques — deterministic at one worker, a schedule-dependent lower
       bound on the true concurrent peak above that — truncation-sensitive or
-      shortest-witness callers should use {!run_par}.  Unlike the
+      shortest-witness callers should use {!run_serial}.  Unlike the
       serial keep order, successors are prune-tested {e before} the
       visited test ([prune] must be a pure predicate; the counts are
       unaffected because a prunable state is never visited).  [merge]
@@ -289,20 +274,24 @@ module Make (P : Problem) : sig
       be commutative as well as associative for observations to be
       jobs-invariant.  Calling from the pool-owning domain is
       required. *)
-end
 
-val shard :
-  jobs:int ->
-  f:('root -> 'a * Metrics.t) ->
-  merge:('acc -> 'a -> 'acc) ->
-  init:'acc ->
-  'root list ->
-  'acc * Metrics.t
-(** Run one independent search per root on a
-    {!Patterns_stdx.Domain_pool} and merge both payloads and metrics
-    in root order — the deterministic sweep used by scheme
-    enumeration and exhaustive exploration, where roots (input
-    vectors) partition the state space. *)
+  val run_driver :
+    par_mode:par_mode ->
+    ?pool:Patterns_stdx.Domain_pool.t ->
+    ?budget:int ->
+    ?deadline:float ->
+    ?max_live:int ->
+    ?spill:spill ->
+    ?is_goal:(P.state -> bool) ->
+    ?prune:(P.state -> bool) ->
+    ?edges:(src:P.state -> event:int -> dst:P.state -> unit) ->
+    expand:'obs par_expand ->
+    root:P.state ->
+    unit ->
+    P.state outcome * 'obs * Metrics.t
+  (** The driver [par_mode] names: [Layers] is {!run_serial} with
+      [Bfs] ([pool] unused), [Async] is {!run_par_async} on [pool]. *)
+end
 
 val find_first :
   ?metrics:Metrics.t ref ->

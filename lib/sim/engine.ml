@@ -21,8 +21,8 @@ module Make (P : Protocol.S) = struct
      structurally equal sets reached along different schedules are
      pointer-shared and their fingerprints are computed once.  The
      tables are shared by every configuration descended from one
-     [init]; under the layer-synchronous parallel driver several
-     domains expand such siblings at once, so every table access takes
+     [init]; under the work-stealing parallel driver several domains
+     expand such siblings at once, so every table access takes
      [lock].  Which physical representative wins a concurrent intern
      race is timing-dependent, but representatives are only ever used
      as a fast path for structural equality, so no observable result

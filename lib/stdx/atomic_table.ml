@@ -40,17 +40,20 @@
    A fingerprint hit is still never trusted on its own.  The slot
    match is confirmed structurally against the published state, and a
    true 63-bit collision — a different state with the same key — is
-   routed to a conventional sharded (mutex) store, exactly like the
-   serial kernel's bucket fallback.  Collisions are ~10^-6 per million
-   states, so the mutex path is cold by construction; the driver's
-   [lock_contention] metric stays 0 unless a collision actually
-   occurred. *)
+   routed to a single-mutex list, exactly like the serial kernel's
+   bucket fallback.  Collisions are ~10^-6 per million states, so the
+   mutex path is cold by construction; the driver's [lock_contention]
+   metric stays 0 unless a collision actually occurred. *)
 
 type counters = {
   mutable probes : int;
   mutable cas_retries : int;
   mutable collisions : int;
 }
+
+(* the collision fallback: every state whose key the table already
+   holds for a structurally different state *)
+type 'a fallback = { lock : Mutex.t; mutable items : 'a list; mutable contention : int }
 
 type 'a inner = { slots : int Atomic.t array; values : 'a option Atomic.t array }
 
@@ -62,7 +65,7 @@ type 'a t = {
   resizing : bool Atomic.t;
   active : bool Atomic.t array;
   resize_lock : Mutex.t;
-  fallback : 'a Sharded_store.t;
+  fallback : 'a fallback;
   counters : counters array;
   initial_bits : int;
 }
@@ -87,7 +90,7 @@ let create ?(capacity = 4096) ~workers ~equal ~fingerprint () =
     resizing = Atomic.make false;
     active = Array.init workers (fun _ -> Atomic.make false);
     resize_lock = Mutex.create ();
-    fallback = Sharded_store.create ~equal ~fingerprint ();
+    fallback = { lock = Mutex.create (); items = []; contention = 0 };
     counters =
       Array.init workers (fun _ -> { probes = 0; cas_retries = 0; collisions = 0 });
     initial_bits = bits_of cap;
@@ -96,6 +99,24 @@ let create ?(capacity = 4096) ~workers ~equal ~fingerprint () =
 let capacity t = Array.length (Atomic.get t.inner).slots
 let initial_bits t = t.initial_bits
 let key_of t x = Fingerprint.to_int (t.fingerprint x)
+
+let with_fallback t f =
+  let fb = t.fallback in
+  if not (Mutex.try_lock fb.lock) then begin
+    fb.contention <- fb.contention + 1;
+    Mutex.lock fb.lock
+  end;
+  Fun.protect ~finally:(fun () -> Mutex.unlock fb.lock) (fun () -> f fb)
+
+let fallback_mem t x = with_fallback t (fun fb -> List.exists (t.equal x) fb.items)
+
+let fallback_add t x =
+  with_fallback t (fun fb ->
+      if List.exists (t.equal x) fb.items then false
+      else begin
+        fb.items <- x :: fb.items;
+        true
+      end)
 
 (* spin out the claim/publish window *)
 let rec value_of cell =
@@ -197,7 +218,7 @@ let add_if_absent t ~worker x =
               (* true fingerprint collision: the mutex fallback keeps
                  the structural-confirmation guarantee *)
               c.collisions <- c.collisions + 1;
-              Sharded_store.add_if_absent t.fallback x
+              fallback_add t x
             end
           end
           else probe ((i + 1) land mask)
@@ -225,21 +246,19 @@ let mem t ~worker x =
     if s = 0 then false
     else if s = stored then
       let v = value_of inner.values.(i) in
-      t.equal v x || Sharded_store.mem t.fallback x
+      t.equal v x || fallback_mem t x
     else probe ((i + 1) land mask)
   in
   probe (key land mask)
 
-let bindings t = Atomic.get t.count + Sharded_store.bindings t.fallback
+let bindings t = Atomic.get t.count + List.length t.fallback.items
 
 let occupancy t =
   float_of_int (Atomic.get t.count) /. float_of_int (capacity t)
 
 let sum f t = Array.fold_left (fun acc c -> acc + f c) 0 t.counters
-let probes t = sum (fun c -> c.probes) t + Sharded_store.probes t.fallback
+let probes t = sum (fun c -> c.probes) t
 let cas_retries t = sum (fun c -> c.cas_retries) t
 
-let collision_fallbacks t =
-  sum (fun c -> c.collisions) t + Sharded_store.collision_fallbacks t.fallback
-
-let lock_contention t = Sharded_store.lock_contention t.fallback
+let collision_fallbacks t = sum (fun c -> c.collisions) t
+let lock_contention t = t.fallback.contention

@@ -5,7 +5,7 @@
     compare-and-set per fresh insertion — no mutex anywhere on the hit
     path.  A fingerprint hit is confirmed structurally against the
     published state, and a true 63-bit collision (different state,
-    same key) is routed to an internal {!Sharded_store} exactly like
+    same key) is routed to an internal single-mutex list exactly like
     the serial kernel's bucket fallback, so the certainty contract of
     the other stores is preserved bit for bit.
 
@@ -58,8 +58,8 @@ val occupancy : 'a t -> float
     volatile near a migration boundary. *)
 
 val probes : 'a t -> int
-(** One per [mem]/[add_if_absent] call (plus fallback probes):
-    deterministic for a deterministic operation sequence. *)
+(** One per [mem]/[add_if_absent] call: deterministic for a
+    deterministic operation sequence. *)
 
 val cas_retries : 'a t -> int
 (** Slot claims lost to a racing worker — volatile by nature. *)

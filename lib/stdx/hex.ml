@@ -21,19 +21,23 @@ let decode s =
   in
   String.init (n / 2) (fun i -> Char.chr ((v s.[2 * i] lsl 4) lor v s.[(2 * i) + 1]))
 
-(* A sealed payload is the hex of [digest ^ bytes]: the 16-byte MD5 of
-   the marshalled bytes, then the bytes.  The digest is checked before
+(* A sealed blob is [digest ^ bytes]: the 16-byte MD5 of the
+   marshalled bytes, then the bytes.  The digest is checked before
    [Marshal.from_string] sees anything, because unmarshalling corrupt
    bytes is not a clean error — a flipped length field can ask for
-   gigabytes or build a value of the wrong shape. *)
-let seal v =
+   gigabytes or build a value of the wrong shape.  An empty body is
+   refused too: no marshalled value is empty. *)
+let seal_raw v =
   let bytes = Marshal.to_string v [] in
-  encode (Digest.string bytes ^ bytes)
+  Digest.string bytes ^ bytes
+
+let unseal_raw raw =
+  let len = String.length raw in
+  if len > 16 && Digest.equal (String.sub raw 0 16) (Digest.substring raw 16 (len - 16))
+  then Some (Marshal.from_string raw 16)
+  else None
+
+let seal v = encode (seal_raw v)
 
 let unseal s =
-  match decode s with
-  | exception Invalid_argument _ -> None
-  | raw when String.length raw < 16 -> None
-  | raw ->
-    let digest = String.sub raw 0 16 and bytes = String.sub raw 16 (String.length raw - 16) in
-    if Digest.equal digest (Digest.string bytes) then Some (Marshal.from_string bytes 0) else None
+  match decode s with exception Invalid_argument _ -> None | raw -> unseal_raw raw

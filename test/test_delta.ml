@@ -44,9 +44,9 @@ let check_verdict name (a : Classify.verdict) (b : Classify.verdict) =
    only max_failures 0 facts (no fact matches, so every vector takes
    the fresh fallback).  The budget cap keeps the big fixed-n
    protocols bounded; their truncated vectors store no facts and are
-   searched afresh on every route.  The layer-synchronous driver pins
-   the truncation points (the async driver's are schedule-dependent
-   above one worker) and truncates these capped sweeps faster. *)
+   searched afresh on every route.  The serial breadth-first driver
+   pins the truncation points (the async driver's are
+   schedule-dependent above one worker). *)
 
 let test_registry_reuse () =
   List.iter
@@ -118,7 +118,7 @@ let test_added_inputs () =
    A stored fact larger than the current per-vector budget must not be
    reused: the incremental run falls back to a fresh (truncating)
    search and reproduces the from-scratch truncated verdict.  The
-   layered driver pins the truncation order. *)
+   serial breadth-first driver pins the truncation order. *)
 
 let test_budget_gate () =
   let entry = entry_exn "fig3-chain" in
@@ -138,7 +138,7 @@ let test_budget_gate () =
   Alcotest.(check bool) "small budget truncates" true scratch.Classify.truncated;
   check_verdict "oversized facts are not reused" scratch through_base
 
-(* ----- jobs and par-mode invariance of reuse -----
+(* ----- jobs and driver invariance of reuse -----
 
    Under every jobs value and driver, a base recorded at one failure
    answers a repeated query wholesale and a two-failure query through
@@ -206,6 +206,36 @@ let test_driver_family_key () =
   check_verdict "layers through an async base" layers
     (classify ~base Patterns_search.Search.Layers);
   check_verdict "async reused" async (classify ~base Patterns_search.Search.Async)
+
+(* ----- the driver family is part of the verdict-fact key -----
+
+   The same split one level up: a whole-sweep verdict recorded into a
+   [--db] under the serial breadth-first driver must not answer the
+   work-stealing driver's query, and vice versa.  The two counts are
+   pinned: they are visit-order answers of the two drivers at one
+   worker. *)
+
+let test_verdict_fact_driver () =
+  let entry = entry_exn "coop-2pc" in
+  let rule = rule_of_registry entry in
+  let classify ?metrics ?db par_mode =
+    Classify.classify ?metrics ?db ~max_failures:1 ~par_mode ~rule ~n:3
+      entry.Patterns_protocols.Registry.protocol
+  in
+  let db = Db.create () in
+  let layers = classify ~db Patterns_search.Search.Layers in
+  check Alcotest.int "layers counts 6890" 6890 layers.Classify.configs;
+  let metrics = ref Patterns_search.Metrics.zero in
+  let async = classify ~metrics ~db Patterns_search.Search.Async in
+  check Alcotest.int "async counts 6818, not the layers fact" 6818 async.Classify.configs;
+  check Alcotest.bool "async searched" true
+    (!metrics.Patterns_search.Metrics.states_expanded > 0);
+  let metrics = ref Patterns_search.Metrics.zero in
+  check_verdict "layers fact answers layers" layers
+    (classify ~metrics ~db Patterns_search.Search.Layers);
+  check Alcotest.int "answered with zero expansions" 0
+    !metrics.Patterns_search.Metrics.states_expanded;
+  check_verdict "async fact answers async" async (classify ~db Patterns_search.Search.Async)
 
 (* ----- corrupt facts fail closed -----
 
@@ -389,8 +419,10 @@ let () =
           Alcotest.test_case "registry reuse oracle" `Slow test_registry_reuse;
           Alcotest.test_case "added input vectors" `Quick test_added_inputs;
           Alcotest.test_case "budget gate" `Quick test_budget_gate;
-          Alcotest.test_case "jobs x par-mode matrix" `Slow test_matrix_invariance;
+          Alcotest.test_case "jobs x driver matrix" `Slow test_matrix_invariance;
           Alcotest.test_case "driver family in the key" `Quick test_driver_family_key;
+          Alcotest.test_case "driver family in the verdict key" `Quick
+            test_verdict_fact_driver;
           Alcotest.test_case "corrupt fact fails closed" `Quick test_corrupt_fact;
         ] );
       ( "hunt",

@@ -79,9 +79,10 @@ let test_scheme_jobs_invariant () =
       let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
       let module S = Patterns_pattern.Scheme.Make (P) in
       (* truncation-sensitive (the budget cuts most registry sweeps
-         short), so pin the layered driver: only its truncation prefix
-         is jobs-invariant.  The async driver's exhaustive-sweep
-         invariance is tested separately below. *)
+         short), so pin the serial breadth-first driver, which ignores
+         [jobs]: this checks the sweep's own merge is jobs-invariant.
+         The async driver's exhaustive-sweep invariance is tested
+         separately below. *)
       let run jobs =
         S.scheme ~max_configs:2_000 ~jobs ~par_mode:Patterns_search.Search.Layers ~n ()
       in
@@ -115,8 +116,8 @@ let test_classify_jobs_invariant () =
       let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
       let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
       let rule = rule_of entry in
-      (* truncation-sensitive budget: pin the layered driver (see
-         test_scheme_jobs_invariant) *)
+      (* truncation-sensitive budget: pin the serial breadth-first
+         driver (see test_scheme_jobs_invariant) *)
       let run jobs =
         Classify.classify ~max_failures:1 ~max_configs:20_000 ~jobs
           ~par_mode:Patterns_search.Search.Layers ~rule ~n
@@ -133,7 +134,7 @@ let test_classify_jobs_invariant () =
         jobs_values)
     Patterns_protocols.Registry.all
 
-(* ----- async scheme / classify: exhaustive sweeps match layers ----- *)
+(* ----- async scheme / classify: exhaustive sweeps match the serial driver ----- *)
 
 let test_scheme_async_invariant () =
   (* an exhaustive sweep (budget never hit) must produce identical
@@ -164,7 +165,7 @@ let test_scheme_async_invariant () =
 
 let test_classify_async_invariant () =
   (* fig3-chain at n=3 exhausts well inside the default budget, so the
-     async verdict must equal the layered one bit for bit *)
+     async verdict must equal the serial one bit for bit *)
   let run ~jobs ~par_mode =
     Classify.classify ~max_failures:1 ~jobs ~par_mode
       ~rule:Patterns_protocols.Decision_rule.Unanimity ~n:3
@@ -181,14 +182,14 @@ let test_classify_async_invariant () =
         (Stdlib.compare v1 v = 0))
     [ 1; 2; 4 ]
 
-(* ----- run_par / run_par_async: the kernel drivers themselves ----- *)
+(* ----- the kernel drivers themselves ----- *)
 
 (* Failure-free expansion of a protocol's configurations, with the
    expanded states' fingerprints collected in the observation
    accumulator — for an exhausted search the multiset of expanded
    fingerprints IS the visited set. *)
 let kernel_visited ?(par_mode = Patterns_search.Search.Layers) (module P : Protocol.S) ~n
-    ~inputs ~jobs ~par_threshold ~budget =
+    ~inputs ~jobs ~budget =
   let module E = Engine.Make (P) in
   let module Pr = struct
     type state = E.config
@@ -213,11 +214,7 @@ let kernel_visited ?(par_mode = Patterns_search.Search.Layers) (module P : Proto
   in
   Domain_pool.with_pool ~jobs (fun pool ->
       let outcome, fps, m =
-        match par_mode with
-        | Patterns_search.Search.Layers ->
-          K.run_par ~pool ~par_threshold ~budget ~expand ~root:(E.init ~n ~inputs) ()
-        | Patterns_search.Search.Async ->
-          K.run_par_async ~pool ~budget ~expand ~root:(E.init ~n ~inputs) ()
+        K.run_driver ~par_mode ~pool ~budget ~expand ~root:(E.init ~n ~inputs) ()
       in
       ( (match outcome with
         | Patterns_search.Search.Exhausted -> "exhausted"
@@ -249,11 +246,11 @@ let reference_visited (module P : Protocol.S) ~n ~inputs =
   let visited = go (S.add root S.empty) [ root ] in
   (List.sort Int.compare (List.map E.fingerprint (S.elements visited)), S.cardinal visited)
 
-let test_run_par_matches_reference () =
-  (* whole registry, both drivers, both sides of the crossover
-     threshold, jobs up to 8: each parallel driver visits exactly the
-     serial reachable set — same cardinality, same fingerprint
-     multiset *)
+let test_drivers_match_reference () =
+  (* whole registry, both drivers, jobs up to 8: each driver visits
+     exactly the reference reachable set — same cardinality, same
+     fingerprint multiset ([Layers] is the serial breadth-first driver
+     and ignores [jobs]) *)
   List.iter
     (fun entry ->
       let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
@@ -261,15 +258,14 @@ let test_run_par_matches_reference () =
       let inputs = List.init n (fun i -> i mod 2 = 0) in
       let ref_fps, ref_card = reference_visited (module P) ~n ~inputs in
       List.iter
-        (fun (par_mode, jobs, par_threshold) ->
+        (fun (par_mode, jobs) ->
           let outcome, fps, m =
-            kernel_visited ~par_mode (module P) ~n ~inputs ~jobs ~par_threshold
-              ~budget:max_int
+            kernel_visited ~par_mode (module P) ~n ~inputs ~jobs ~budget:max_int
           in
           let label fmt =
-            Printf.sprintf "%s %s jobs=%d thr=%d: %s" P.name
+            Printf.sprintf "%s %s jobs=%d: %s" P.name
               (Patterns_search.Search.par_mode_string par_mode)
-              jobs par_threshold fmt
+              jobs fmt
           in
           Alcotest.(check string) (label "outcome") "exhausted" outcome;
           Alcotest.(check int) (label "cardinality") ref_card (List.length fps);
@@ -277,43 +273,29 @@ let test_run_par_matches_reference () =
           Alcotest.(check int) (label "states_expanded") ref_card
             m.Patterns_search.Metrics.states_expanded)
         Patterns_search.Search.
-          [
-            (Layers, 1, 1);
-            (Layers, 1, max_int);
-            (Layers, 2, 1);
-            (Layers, 2, max_int);
-            (Layers, 4, 1);
-            (Layers, 4, max_int);
-            (Layers, 8, 1);
-            (Async, 1, 1);
-            (Async, 2, 1);
-            (Async, 4, 1);
-            (Async, 8, 1);
-          ])
+          [ (Layers, 1); (Layers, 4); (Async, 1); (Async, 2); (Async, 4); (Async, 8) ])
     exhaustable
 
-let test_run_par_truncation_invariant () =
+let test_drivers_truncation_invariant () =
   (* a budget cut mid-search stops at the same deterministic prefix
-     for every jobs and threshold value *)
-  let run (jobs, par_threshold) =
+     for every jobs value *)
+  let run jobs =
     kernel_visited Patterns_protocols.Chain_proto.fig3 ~n:3
-      ~inputs:[ true; true; true ] ~jobs ~par_threshold ~budget:7
+      ~inputs:[ true; true; true ] ~jobs ~budget:7
   in
-  let outcome1, fps1, m1 = run (1, 1) in
+  let outcome1, fps1, m1 = run 1 in
   Alcotest.(check string) "budget consumed exactly" "truncated:7" outcome1;
   List.iter
-    (fun (jobs, thr) ->
-      let outcome, fps, m = run (jobs, thr) in
-      let label fmt = Printf.sprintf "jobs=%d thr=%d: %s" jobs thr fmt in
+    (fun jobs ->
+      let outcome, fps, m = run jobs in
+      let label fmt = Printf.sprintf "jobs=%d: %s" jobs fmt in
       Alcotest.(check string) (label "outcome") outcome1 outcome;
       Alcotest.(check (list int)) (label "expanded prefix") fps1 fps;
       Alcotest.(check int) (label "dedup_hits") m1.Patterns_search.Metrics.dedup_hits
         m.Patterns_search.Metrics.dedup_hits;
       Alcotest.(check int) (label "frontier_peak") m1.Patterns_search.Metrics.frontier_peak
-        m.Patterns_search.Metrics.frontier_peak;
-      Alcotest.(check int) (label "layers") m1.Patterns_search.Metrics.layers
-        m.Patterns_search.Metrics.layers)
-    [ (1, max_int); (2, 1); (4, 1); (4, max_int); (8, 1) ];
+        m.Patterns_search.Metrics.frontier_peak)
+    [ 2; 4; 8 ];
   (* the async driver consumes the budget exactly too — its ticket
      drain is deterministic even though the visited subset is
      schedule-dependent *)
@@ -322,7 +304,7 @@ let test_run_par_truncation_invariant () =
       let outcome, fps, _ =
         kernel_visited ~par_mode:Patterns_search.Search.Async
           Patterns_protocols.Chain_proto.fig3 ~n:3 ~inputs:[ true; true; true ] ~jobs
-          ~par_threshold:1 ~budget:7
+          ~budget:7
       in
       Alcotest.(check string)
         (Printf.sprintf "async jobs=%d: budget consumed exactly" jobs)
@@ -331,26 +313,6 @@ let test_run_par_truncation_invariant () =
         (Printf.sprintf "async jobs=%d: expanded = budget" jobs)
         7 (List.length fps))
     [ 1; 2; 4 ]
-
-let test_scheme_par_threshold_invariant () =
-  (* forcing every layer parallel and forcing none must not change a
-     single bit of the result *)
-  let (module P : Protocol.S) = Patterns_protocols.Perverse_proto.fig4 in
-  let module S = Patterns_pattern.Scheme.Make (P) in
-  let run ~jobs ~par_threshold = S.scheme ~jobs ~par_threshold ~n:4 () in
-  let pats1, stats1 = run ~jobs:1 ~par_threshold:1 in
-  List.iter
-    (fun (jobs, par_threshold) ->
-      let pats, stats = run ~jobs ~par_threshold in
-      Alcotest.(check bool)
-        (Printf.sprintf "fig4 scheme jobs=%d thr=%d" jobs par_threshold)
-        true
-        (Patterns_pattern.Pattern.Set.equal pats1 pats
-        && stats1.Patterns_pattern.Scheme.configs_visited
-           = stats.Patterns_pattern.Scheme.configs_visited
-        && stats1.Patterns_pattern.Scheme.terminal_configs
-           = stats.Patterns_pattern.Scheme.terminal_configs))
-    [ (1, max_int); (2, 1); (2, max_int); (4, 1); (8, 4) ]
 
 (* ----- hunt: the winner is the smallest violating run index ----- *)
 
@@ -418,15 +380,14 @@ let walk ~seed ~n ~steps =
 let qcheck_tests =
   let open QCheck2 in
   [
-    Test.make ~name:"run_par visits the serial visited set (registry)" ~count:40
+    Test.make ~name:"drivers visit the reference visited set (registry)" ~count:40
       Gen.(
-        tup5
+        quad
           (int_bound (List.length exhaustable - 1))
           (int_bound 1000)
           (oneofl [ 1; 2; 4; 8 ])
-          (oneofl [ 1; 4; max_int ])
           (oneofl Patterns_search.Search.[ Layers; Async ]))
-      (fun (idx, seed, jobs, par_threshold, par_mode) ->
+      (fun (idx, seed, jobs, par_mode) ->
         let entry = List.nth exhaustable idx in
         let (module P : Protocol.S) = entry.Patterns_protocols.Registry.protocol in
         let n = pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n in
@@ -434,8 +395,7 @@ let qcheck_tests =
         let inputs = List.init n (fun _ -> Prng.bool prng) in
         let ref_fps, ref_card = reference_visited (module P) ~n ~inputs in
         let outcome, fps, m =
-          kernel_visited ~par_mode (module P) ~n ~inputs ~jobs ~par_threshold
-            ~budget:max_int
+          kernel_visited ~par_mode (module P) ~n ~inputs ~jobs ~budget:max_int
         in
         outcome = "exhausted" && List.length fps = ref_card && fps = ref_fps
         && m.Patterns_search.Metrics.states_expanded = ref_card);
@@ -489,13 +449,11 @@ let () =
             test_classify_async_invariant;
           Alcotest.test_case "hunt" `Quick test_hunt_jobs_invariant;
         ] );
-      ( "run_par",
+      ( "kernel drivers",
         [
           Alcotest.test_case "matches reference, whole registry" `Quick
-            test_run_par_matches_reference;
-          Alcotest.test_case "truncation invariant" `Quick test_run_par_truncation_invariant;
-          Alcotest.test_case "scheme par-threshold invariant" `Quick
-            test_scheme_par_threshold_invariant;
+            test_drivers_match_reference;
+          Alcotest.test_case "truncation invariant" `Quick test_drivers_truncation_invariant;
         ] );
       ("visited sets", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -1,6 +1,6 @@
 (* Unit tests for the instrumented search kernel: strategies, budget
-   truncation, goals, pruning, dedup accounting, deterministic
-   sharding, batched goal search and the chain scan. *)
+   truncation, goals, pruning, dedup accounting, batched goal search
+   and the chain scan. *)
 
 open Patterns_search
 
@@ -142,34 +142,6 @@ let test_prune () =
   check Alcotest.int "expanded" 5 m.Metrics.states_expanded;
   check Alcotest.int "pruned" 4 m.Metrics.pruned
 
-let test_shard_deterministic () =
-  let search root =
-    let module G = Graph (struct
-      let succs x = if x >= root + 3 then [] else [ x + 1 ]
-    end) in
-    let outcome, m = G.run ~root () in
-    ignore outcome;
-    ([ (root, m.Metrics.states_expanded) ], m)
-  in
-  let run jobs =
-    Search.shard ~jobs ~f:search ~merge:(fun acc r -> acc @ r) ~init:[] [ 10; 20; 30 ]
-  in
-  let r1, m1 = run 1 and r4, m4 = run 4 in
-  check
-    Alcotest.(list (pair int int))
-    "payload merged in root order" [ (10, 4); (20, 4); (30, 4) ]
-    r1;
-  Alcotest.(check bool) "payload jobs-invariant" true (r1 = r4);
-  check Alcotest.int "roots" 3 m1.Metrics.roots;
-  check Alcotest.int "expanded summed" 12 m1.Metrics.states_expanded;
-  check Alcotest.int "expanded jobs-invariant" m1.Metrics.states_expanded
-    m4.Metrics.states_expanded;
-  (* shard entries are retagged with their root index, in order *)
-  check
-    (Alcotest.list Alcotest.int)
-    "shard tags" [ 0; 1; 2 ]
-    (List.map (fun s -> s.Metrics.root) m1.Metrics.shards)
-
 let test_find_first_smallest () =
   let f i = if i mod 7 = 0 then Some i else None in
   List.iter
@@ -273,7 +245,6 @@ let () =
         ] );
       ( "drivers",
         [
-          Alcotest.test_case "shard deterministic" `Quick test_shard_deterministic;
           Alcotest.test_case "find_first smallest" `Quick test_find_first_smallest;
           Alcotest.test_case "scan" `Quick test_scan;
           Alcotest.test_case "metrics merge and json" `Quick test_metrics_merge_and_json;

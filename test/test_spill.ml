@@ -215,9 +215,10 @@ let kernel_visited_spill ~driver (module P : Protocol.S) ~n ~inputs ~jobs ~spill
     in
     Domain_pool.with_pool ~jobs (fun pool ->
         let outcome, fps, m =
-          match driver with
-          | Layers -> K.run_par ~pool ?spill ~expand ~root:(E.init ~n ~inputs) ()
-          | _ -> K.run_par_async ~pool ?spill ~expand ~root:(E.init ~n ~inputs) ()
+          let par_mode =
+            Patterns_search.Search.(if driver = Layers then Layers else Async)
+          in
+          K.run_driver ~par_mode ~pool ?spill ~expand ~root:(E.init ~n ~inputs) ()
         in
         ( (match outcome with
           | Patterns_search.Search.Exhausted -> "exhausted"
@@ -313,8 +314,8 @@ let test_scheme_spill_invariant () =
             pick_n (module P) ~default_n:entry.Patterns_protocols.Registry.default_n
           in
           let module S = Patterns_pattern.Scheme.Make (P) in
-          (* budget-truncated sweeps pin the layered driver, whose
-             truncation prefix is deterministic (test_parallel) *)
+          (* budget-truncated sweeps pin the serial breadth-first
+             driver, whose truncation prefix is deterministic *)
           let run spill =
             S.scheme ~max_configs:2_000 ~jobs:2 ~par_mode:Patterns_search.Search.Layers
               ?spill ~n ()

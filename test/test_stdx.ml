@@ -166,78 +166,6 @@ let pool_qcheck_tests =
             = List.fold_left (fun acc s -> acc ^ String.uppercase_ascii s) "" l));
   ]
 
-(* ----- Sharded_store ----- *)
-
-let int_store ?shard_bits () =
-  Sharded_store.create ?shard_bits ~equal:Int.equal ~fingerprint:Fingerprint.of_int ()
-
-let test_sharded_basics () =
-  let s = int_store ~shard_bits:3 () in
-  Alcotest.(check int) "8 shards" 8 (Sharded_store.shards s);
-  Alcotest.(check int) "shard_bits" 3 (Sharded_store.shard_bits s);
-  Alcotest.(check bool) "first insert" true (Sharded_store.add_if_absent s 42);
-  Alcotest.(check bool) "duplicate insert" false (Sharded_store.add_if_absent s 42);
-  Alcotest.(check bool) "mem present" true (Sharded_store.mem s 42);
-  Alcotest.(check bool) "mem absent" false (Sharded_store.mem s 43);
-  Alcotest.(check int) "bindings" 1 (Sharded_store.bindings s);
-  (* one probe per mem and per add_if_absent, exactly *)
-  Alcotest.(check int) "probes" 4 (Sharded_store.probes s);
-  Alcotest.(check int) "no collisions" 0 (Sharded_store.collision_fallbacks s)
-
-let test_sharded_shard_of_range () =
-  let s = int_store ~shard_bits:4 () in
-  let prng = Prng.create ~seed:11 in
-  for _ = 1 to 1000 do
-    let fp = Fingerprint.of_int (Int64.to_int (Prng.bits64 prng)) in
-    let i = Sharded_store.shard_of s fp in
-    if i < 0 || i >= 16 then Alcotest.fail "shard_of out of range"
-  done
-
-let test_sharded_occupancy () =
-  let s = int_store () in
-  List.iter (fun i -> ignore (Sharded_store.add_if_absent s i)) (Listx.range 0 500);
-  Alcotest.(check int) "bindings" 500 (Sharded_store.bindings s);
-  let occ = Sharded_store.occupancy s in
-  Alcotest.(check int) "occupancy sums to bindings" 500 (Array.fold_left ( + ) 0 occ);
-  Alcotest.(check int) "occupancy_max is the max" (Array.fold_left max 0 occ)
-    (Sharded_store.occupancy_max s)
-
-let test_sharded_collisions_confirmed () =
-  (* a constant fingerprint forces every state into one bucket: the
-     store must still distinguish them structurally *)
-  let s =
-    Sharded_store.create ~equal:Int.equal ~fingerprint:(fun _ -> Fingerprint.of_int 42) ()
-  in
-  List.iter
-    (fun i -> Alcotest.(check bool) "all inserted" true (Sharded_store.add_if_absent s i))
-    (Listx.range 0 10);
-  Alcotest.(check int) "10 bindings despite equal fps" 10 (Sharded_store.bindings s);
-  Alcotest.(check bool) "each member found" true
-    (List.for_all (Sharded_store.mem s) (Listx.range 0 10));
-  Alcotest.(check bool) "collisions counted" true (Sharded_store.collision_fallbacks s > 0)
-
-let test_sharded_concurrent_inserts () =
-  (* four domains insert overlapping ranges; the union must survive
-     with exact counter totals: one probe per call, one binding per
-     distinct value *)
-  let s = int_store () in
-  let range d = Listx.range (d * 200) (d * 200 + 400) in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            List.fold_left
-              (fun acc i -> if Sharded_store.add_if_absent s i then acc + 1 else acc)
-              0 (range d)))
-  in
-  let inserted = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-  let distinct = List.sort_uniq Int.compare (List.concat_map range (Listx.range 0 4)) in
-  Alcotest.(check int) "insert wins are the distinct values" (List.length distinct) inserted;
-  Alcotest.(check int) "bindings" (List.length distinct) (Sharded_store.bindings s);
-  Alcotest.(check int) "probes = calls" (4 * 400) (Sharded_store.probes s);
-  Alcotest.(check bool) "every value present" true (List.for_all (Sharded_store.mem s) distinct);
-  Alcotest.(check int) "occupancy total" (List.length distinct)
-    (Array.fold_left ( + ) 0 (Sharded_store.occupancy s))
-
 (* ----- Ws_deque ----- *)
 
 let test_deque_owner_order () =
@@ -632,7 +560,13 @@ let test_hex_seal () =
     if Hex.unseal (flip sealed i) <> None then Alcotest.failf "digit %d flipped, accepted" i
   done;
   check Alcotest.bool "short" true (Hex.unseal (String.sub sealed 0 30) = None);
-  check Alcotest.bool "not hex" true (Hex.unseal "zz" = None)
+  check Alcotest.bool "not hex" true (Hex.unseal "zz" = None);
+  check Alcotest.bool "digest of an empty body" true
+    (Hex.unseal (Hex.encode (Digest.string "")) = None);
+  let raw = Hex.seal_raw v in
+  check Alcotest.bool "raw round trip" true (Hex.unseal_raw raw = Some v);
+  check Alcotest.bool "raw truncated" true
+    (Hex.unseal_raw (String.sub raw 0 (String.length raw - 1)) = None)
 
 (* ----- Dot / Table ----- *)
 
@@ -680,14 +614,6 @@ let () =
           Alcotest.test_case "jobs=1 inline" `Quick test_pool_jobs1_inline;
           Alcotest.test_case "exception then reuse" `Quick test_pool_exception_then_reuse;
           Alcotest.test_case "shutdown rejects" `Quick test_pool_shutdown_rejects;
-        ] );
-      ( "sharded_store",
-        [
-          Alcotest.test_case "basics" `Quick test_sharded_basics;
-          Alcotest.test_case "shard_of range" `Quick test_sharded_shard_of_range;
-          Alcotest.test_case "occupancy" `Quick test_sharded_occupancy;
-          Alcotest.test_case "collisions confirmed" `Quick test_sharded_collisions_confirmed;
-          Alcotest.test_case "concurrent inserts" `Quick test_sharded_concurrent_inserts;
         ] );
       ( "ws_deque",
         [
